@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .losses import ctc_feasible, ctc_forward
+from .losses import ctc_feasible, ctc_forward, ctc_lattice
 
 NEG_INF = -np.inf
 
@@ -86,35 +86,19 @@ def ctc_prefix_score(prefix, ctc_logprobs: np.ndarray, blank: int = 0, complete:
         return NEG_INF
     if complete:
         return ctc_forward(logp, prefix, blank)
-    # forward over the lattice restricted to states before the final label;
-    # mass entering the final-label state is absorbed (any continuation counts)
-    l = len(prefix)
-    ext = [blank]
-    for tok in prefix:
-        ext.extend((tok, blank))
-    last = 2 * l - 1  # state index of the final label
-    inner = np.full(last, NEG_INF)  # states 0 .. last-1
-    inner[0] = logp[0, blank]
-    if last >= 2:
-        inner[1] = logp[0, ext[1]]
-    absorbed = logp[0, ext[last]] if last == 1 else NEG_INF
-    skip_ok = [s >= 2 and ext[s] != blank and ext[s] != ext[s - 2] for s in range(last + 1)]
-    for t in range(1, t_len):
-        # completion mass first: transitions into `last` from t-1 states
-        enter = inner[last - 1]
-        if skip_ok[last] and last >= 2:
-            enter = np.logaddexp(enter, inner[last - 2])
-        absorbed = np.logaddexp(absorbed, logp[t, ext[last]] + enter)
-        new = np.full(last, NEG_INF)
-        for s in range(last):
-            acc = inner[s]
-            if s >= 1:
-                acc = np.logaddexp(acc, inner[s - 1])
-            if s >= 2 and skip_ok[s]:
-                acc = np.logaddexp(acc, inner[s - 2])
-            new[s] = acc + logp[t, ext[s]]
-        inner = new
-    return float(absorbed)
+    # The states before the final label never depend on it, so the lattice of
+    # the complete prefix carries them; the mass entering the final-label
+    # state at frame t (any continuation counts) is absorbed, summed over t.
+    lat = ctc_lattice(logp[None], [prefix], [t_len], blank)
+    alpha, emit = lat.alpha[0], lat.emit[0]
+    last = 2 * len(prefix) - 1  # state index of the final label
+    enter = np.full(t_len, NEG_INF)
+    enter[0] = alpha[0, last]  # nonzero only for a one-label prefix
+    into = alpha[:-1, last - 1]
+    if last >= 2 and prefix[-1] != prefix[-2]:
+        into = np.logaddexp(into, alpha[:-1, last - 2])
+    enter[1:] = into + emit[1:, last]
+    return float(np.logaddexp.reduce(enter))
 
 
 def greedy_ctc(ctc_logprobs: np.ndarray, blank: int = 0) -> list:
@@ -131,16 +115,24 @@ def greedy_ctc(ctc_logprobs: np.ndarray, blank: int = 0) -> list:
 
 
 def joint_rescore(hyps, ctc_logprobs: np.ndarray, w: float, vocab, normalize: bool = True):
-    """Rerank finished hypotheses by (1-w)*attention + w*CTC sequence score."""
-    for h in hyps:
-        h.ctc_logp = ctc_prefix_score(h.text_tokens(vocab), ctc_logprobs, blank=vocab.blank_id,
-                                      complete=True)
+    """Rerank finished hypotheses by (1-w)*attention + w*CTC sequence score;
+    all hypotheses are scored in one lattice."""
+    logp = np.asarray(ctc_logprobs)
+    rows = len(hyps)
+    scores = ctc_lattice(np.broadcast_to(logp, (rows,) + logp.shape),
+                         [h.text_tokens(vocab) for h in hyps], [logp.shape[0]] * rows,
+                         vocab.blank_id).log_p
+    for h, ctc_logp in zip(hyps, scores):
+        h.ctc_logp = float(ctc_logp)
         h.score = combined_score(h.attn_logp, h.ctc_logp, w, len(h.tokens) - 2, normalize)
     return sorted(hyps, key=lambda h: h.score, reverse=True)
 
 
 def beam_search(model, vocab, enc, tgt_lang: str, cfg: DecodeConfig):
     """Decode one utterance; returns hypotheses ranked by combined score."""
+    if enc.states.shape[0] != 1:
+        raise ValueError(f"beam_search decodes one utterance; got an encoder batch of "
+                         f"{enc.states.shape[0]} (slice one row)")
     start = [vocab.bos_id, vocab.lang_id(tgt_lang)]
     never = [vocab.blank_id, vocab.pad_id, vocab.bos_id,
              vocab.lang_id("en"), vocab.lang_id("it")]

@@ -1,14 +1,18 @@
 """Training objectives: label-smoothed cross-entropy, CTC, and their
-weighted combination.
+weighted combination over a padded batch.
 
-CTC is computed with a log-space forward recursion over the blank-augmented
-label sequence; its gradient w.r.t. the input log-probabilities is the
-analytic forward-backward result, attached to the tape as a single node.
+All CTC goes through one log-space forward(-backward) lattice over the
+blank-augmented label sequences (`ctc_lattice`), vectorized over rows and
+extended-label states with masks for each row's frames and labels; the loss,
+`ctc_forward` and the decoder's prefix scores and rescoring all use it. The
+batched loss returns per-row values as a single tape node whose gradient
+w.r.t. the input log-probabilities is the analytic occupancy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +44,8 @@ class LossBreakdown:
     ctc_tgt: float
     total: float
     token_count: int
+    per_utt: np.ndarray  # each utterance's weighted term of the objective
+    ctc_infeasible: int  # CTC rows (both heads) whose target cannot fit the frames
 
 
 def loss_total(weights: LossWeights, ce: float, ctc_src: float, ctc_tgt: float) -> float:
@@ -54,23 +60,29 @@ def loss_total(weights: LossWeights, ce: float, ctc_src: float, ctc_tgt: float) 
 def label_smoothed_ce(logprobs: Tensor, targets, smoothing: float, pad_id: int | None = None) -> Tensor:
     """Mean per-token smoothed NLL.
 
-    logprobs: N x V log-softmax rows; targets: N integer ids. Positions equal
-    to pad_id are excluded from the mean.
+    logprobs: N x V log-softmax rows with N integer target ids, giving the
+    scalar mean; or B x N x V with B x N targets, giving the B per-row means
+    (each row's own token mean). Positions equal to pad_id are excluded from
+    the means.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    n, v = logprobs.shape
-    if targets.shape != (n,):
+    if logprobs.ndim not in (2, 3) or targets.shape != logprobs.shape[:-1]:
         raise nc.ShapeError(f"label_smoothed_ce: logprobs {logprobs.shape} vs targets {targets.shape}")
-    mask = np.ones(n) if pad_id is None else (targets != pad_id).astype(np.float64)
-    count = mask.sum()
-    if count == 0:
+    v = logprobs.shape[-1]
+    mask = np.ones(targets.shape) if pad_id is None else (targets != pad_id).astype(np.float64)
+    count = mask.sum(axis=-1)
+    if np.any(count == 0):
         raise ValueError("label_smoothed_ce: all positions are padding")
-    safe_targets = np.where(mask > 0, targets, 0)
-    picked = nc.gather_index(logprobs, safe_targets)  # N
-    uniform = nc.mean_(logprobs, axis=1)  # N
+    flat = nc.reshape(logprobs, (-1, v)) if logprobs.ndim == 3 else logprobs
+    safe_targets = np.where(mask > 0, targets, 0).reshape(-1)
+    picked = nc.gather_index(flat, safe_targets)  # B*N
+    uniform = nc.mean_(flat, axis=1)  # B*N
     per_tok = nc.add(nc.scale(picked, -(1.0 - smoothing)), nc.scale(uniform, -smoothing))
-    weighted = nc.mul(per_tok, nc.tensor(mask.astype(logprobs.dtype)))
-    return nc.scale(nc.sum_(weighted), 1.0 / count)
+    weighted = nc.mul(per_tok, nc.tensor(mask.reshape(-1).astype(logprobs.dtype)))
+    if logprobs.ndim == 2:
+        return nc.scale(nc.sum_(weighted), 1.0 / count)
+    rows = nc.sum_(nc.reshape(weighted, targets.shape), axis=1)
+    return nc.mul(rows, nc.tensor(1.0 / count))
 
 
 def ctc_feasible(num_frames: int, target) -> bool:
@@ -79,118 +91,113 @@ def ctc_feasible(num_frames: int, target) -> bool:
     return num_frames >= len(target) + repeats
 
 
-def _extend(target, blank):
-    ext = [blank]
-    for t in target:
-        ext.append(int(t))
-        ext.append(blank)
-    return np.asarray(ext, dtype=np.int64)
+def _lse3(a, b, c):
+    """Elementwise log(exp(a) + exp(b) + exp(c)); -inf where all three are."""
+    m = np.maximum(np.maximum(a, b), c)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.exp(a - m) + np.exp(b - m) + np.exp(c - m))
+
+
+class Lattice(NamedTuple):
+    log_p: np.ndarray  # R: log P(target | frames), -inf if the target cannot fit
+    alpha: np.ndarray  # R x T x S log forward variables (emission included)
+    beta: np.ndarray | None  # R x T x S log backward variables (emission included)
+    emit: np.ndarray  # R x T x S emission log-probs, -inf at padded states
+    ext: np.ndarray  # R x S extended label ids (blank-interleaved, blank-padded)
+
+
+def ctc_lattice(logp: np.ndarray, targets, lengths, blank: int = BLANK_ID,
+                with_beta: bool = False) -> Lattice:
+    """The CTC forward(-backward) recursion (Graves et al., 2006), vectorized
+    over rows and extended-label states; the only one in the package.
+
+    logp: R x T x V frame log-probs (a broadcast view is fine); targets: R
+    label sequences without blanks; lengths: R valid frame counts (frames
+    past a row's length are ignored). Row r's extended sequence is blank,
+    l1, blank, ..., blank, right-padded to the longest row with states whose
+    emission is -inf. beta is computed only when with_beta is set.
+    """
+    rows, t_max, _ = logp.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if len(targets) != rows or lengths.shape != (rows,):
+        raise nc.ShapeError(f"ctc_lattice: {rows} rows, {len(targets)} targets, lengths {lengths.shape}")
+    if rows and (lengths.min() < 1 or lengths.max() > t_max):
+        raise nc.ShapeError(f"ctc_lattice: lengths {lengths.tolist()} outside [1, {t_max}]")
+    s_len = np.array([2 * len(t) + 1 for t in targets], dtype=np.int64)
+    s_max = int(s_len.max(initial=1))
+    ext = np.full((rows, s_max), blank, dtype=np.int64)
+    for r, t in enumerate(targets):
+        ext[r, 1 : s_len[r] : 2] = np.asarray(t, dtype=np.int64)
+    valid = np.arange(s_max)[None, :] < s_len[:, None]
+    emit = np.take_along_axis(logp, ext[:, None, :], axis=2).astype(np.float64)
+    emit[~np.broadcast_to(valid[:, None, :], emit.shape)] = NEG_INF
+    # 0 where the two-state skip into s is allowed, -inf where it is not
+    skip = np.full((rows, s_max), NEG_INF)
+    skip[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+
+    alpha = np.full((rows, t_max, s_max), NEG_INF)
+    alpha[:, 0, :2] = emit[:, 0, :2]
+    prev = np.full((rows, s_max + 2), NEG_INF)  # two -inf states on the left
+    for t in range(1, t_max):
+        prev[:, 2:] = alpha[:, t - 1]
+        alpha[:, t] = _lse3(prev[:, 2:], prev[:, 1:-1], prev[:, :-2] + skip) + emit[:, t]
+    r_idx = np.arange(rows)
+    last = lengths - 1
+    ends = valid & (np.arange(s_max)[None, :] >= s_len[:, None] - 2)  # final blank and label
+    log_p = np.logaddexp.reduce(np.where(ends, alpha[r_idx, last], NEG_INF), axis=1)
+    if not with_beta:
+        return Lattice(log_p, alpha, None, emit, ext)
+
+    # a row's beta starts at its own last frame; later frames stay -inf
+    init = np.where(ends, emit[r_idx, last], NEG_INF)
+    fskip = np.full((rows, s_max), NEG_INF)  # skip from s to s + 2
+    fskip[:, :-2] = skip[:, 2:]
+    beta = np.full((rows, t_max, s_max), NEG_INF)
+    nxt = np.full((rows, s_max + 2), NEG_INF)  # two -inf states on the right
+    for t in range(t_max - 1, -1, -1):
+        if t + 1 < t_max:
+            nxt[:, :-2] = beta[:, t + 1]
+        rec = _lse3(nxt[:, :-2], nxt[:, 1:-1], nxt[:, 2:] + fskip) + emit[:, t]
+        beta[:, t] = np.where((last == t)[:, None], init, rec)
+    return Lattice(log_p, alpha, beta, emit, ext)
 
 
 def ctc_forward(logp: np.ndarray, target, blank: int = BLANK_ID) -> float:
-    """Log-likelihood log P(target | logp) via the forward recursion."""
-    ext = _extend(target, blank)
-    s = len(ext)
-    t_len = logp.shape[0]
-    alpha = np.full(s, NEG_INF)
-    alpha[0] = logp[0, ext[0]]
-    if s > 1:
-        alpha[1] = logp[0, ext[1]]
-    skip_ok = np.zeros(s, dtype=bool)
-    skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-    for t in range(1, t_len):
-        prev = alpha
-        stay = prev
-        move = np.concatenate([[NEG_INF], prev])[:s]
-        skip = np.concatenate([[NEG_INF, NEG_INF], prev])[:s]
-        skip = np.where(skip_ok, skip, NEG_INF)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = np.maximum(np.maximum(stay, move), skip)
-            safe_m = np.where(np.isfinite(m), m, 0.0)
-            acc = (
-                np.exp(np.where(np.isfinite(stay), stay - safe_m, NEG_INF))
-                + np.exp(np.where(np.isfinite(move), move - safe_m, NEG_INF))
-                + np.exp(np.where(np.isfinite(skip), skip - safe_m, NEG_INF))
-            )
-            alpha = np.where(m > NEG_INF, safe_m + np.log(acc), NEG_INF) + logp[t, ext]
-    tail = alpha[-1] if s == 1 else np.logaddexp(alpha[-1], alpha[-2])
-    return float(tail)
+    """Log-likelihood log P(target | logp) of one T x V sequence."""
+    logp = np.asarray(logp)
+    return float(ctc_lattice(logp[None], [target], [logp.shape[0]], blank).log_p[0])
 
 
-def _ctc_alpha_beta(logp: np.ndarray, ext: np.ndarray, blank: int):
-    """Full log alpha/beta lattices (both include the frame emission term)."""
-    s = len(ext)
-    t_len = logp.shape[0]
-    skip_ok = np.zeros(s, dtype=bool)
-    skip_ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+def ctc_loss(logprobs: Tensor, target, input_len=None, blank: int = BLANK_ID) -> Tensor:
+    """Negative log-likelihood of label sequences (no blanks) under frame logprobs.
 
-    def lse3(a, b, c):
-        m = np.maximum(np.maximum(a, b), c)
-        safe = np.where(np.isfinite(m), m, 0.0)
-        with np.errstate(divide="ignore"):
-            out = safe + np.log(
-                np.exp(np.where(np.isfinite(a), a - safe, NEG_INF))
-                + np.exp(np.where(np.isfinite(b), b - safe, NEG_INF))
-                + np.exp(np.where(np.isfinite(c), c - safe, NEG_INF))
-            )
-        return np.where(m > NEG_INF, out, NEG_INF)
-
-    alpha = np.full((t_len, s), NEG_INF)
-    alpha[0, 0] = logp[0, ext[0]]
-    if s > 1:
-        alpha[0, 1] = logp[0, ext[1]]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        move = np.concatenate([[NEG_INF], prev])[:s]
-        skip = np.where(skip_ok, np.concatenate([[NEG_INF, NEG_INF], prev])[:s], NEG_INF)
-        alpha[t] = lse3(prev, move, skip) + logp[t, ext]
-
-    beta = np.full((t_len, s), NEG_INF)
-    beta[-1, -1] = logp[-1, ext[-1]]
-    if s > 1:
-        beta[-1, -2] = logp[-1, ext[-2]]
-    # skip allowed forward from s to s+2 iff ext[s+2] != blank and != ext[s]
-    fskip_ok = np.zeros(s, dtype=bool)
-    fskip_ok[:-2] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-    for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1]
-        move = np.concatenate([nxt[1:], [NEG_INF]])[:s]
-        skip = np.where(fskip_ok, np.concatenate([nxt[2:], [NEG_INF, NEG_INF]])[:s], NEG_INF)
-        beta[t] = lse3(nxt, move, skip) + logp[t, ext]
-    return alpha, beta
-
-
-def ctc_loss(logprobs: Tensor, target, input_len: int | None = None, blank: int = BLANK_ID) -> Tensor:
-    """Negative log-likelihood of `target` (no blanks) under frame logprobs.
-
-    Infeasible target lengths yield a +inf loss tensor instead of raising.
-    Gradient w.r.t. logprobs is the analytic forward-backward result.
+    Unbatched: logprobs T x V, target one sequence, input_len one frame count
+    (default T); returns a scalar. Batched: logprobs R x T x V, target R
+    sequences, input_len R frame counts (default all T); returns the R
+    per-row values as one tape node. A target that cannot fit its frames
+    yields +inf and no gradient instead of raising. The gradient w.r.t.
+    logprobs is the analytic forward-backward occupancy.
     """
-    target = [int(t) for t in target]
-    t_len = logprobs.shape[0] if input_len is None else int(input_len)
-    if t_len > logprobs.shape[0]:
-        raise nc.ShapeError(f"ctc_loss: input_len {t_len} exceeds frames {logprobs.shape[0]}")
-    if not ctc_feasible(t_len, target):
-        return nc.tensor(np.inf)
-    logp = logprobs.data[:t_len]
-    ext = _extend(target, blank)
-    alpha, beta = _ctc_alpha_beta(logp, ext, blank)
-    s = len(ext)
-    log_p = alpha[-1, -1] if s == 1 else np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-    loss_val = -log_p
+    batched = logprobs.ndim == 3
+    logp = logprobs.data if batched else logprobs.data[None]
+    rows, t_max, v = logp.shape
+    lengths = np.full(rows, t_max) if input_len is None else np.reshape(input_len, -1)
+    lat = ctc_lattice(logp, target if batched else [target], lengths, blank, with_beta=True)
+    loss_val = -lat.log_p
 
     def bw(g):
-        # d(-logP)/dlogp[t,k] = -sum_{s: ext[s]=k} exp(alpha+beta-emit-logP)
-        occ = alpha + beta - logp[:, ext] - log_p  # t x s, log occupancy
-        grad = np.zeros_like(logprobs.data)
+        # d(-logP)/dlogp[r,t,k] = -sum_{s: ext[r,s]=k} exp(alpha+beta-emit-logP)
         with np.errstate(invalid="ignore"):
-            w = np.exp(occ)
-        w[~np.isfinite(occ)] = 0.0
-        for si, k in enumerate(ext):
-            grad[:t_len, k] -= w[:, si]
-        nc._accum(logprobs, grad * g)
+            occ = lat.alpha + lat.beta - lat.emit - lat.log_p[:, None, None]
+            w = np.where(np.isnan(occ), 0.0, np.exp(occ))  # nan: padded state
+        w[~np.isfinite(lat.log_p)] = 0.0
+        onehot = np.zeros((rows, lat.ext.shape[1], v))
+        np.put_along_axis(onehot, lat.ext[:, :, None], 1.0, axis=2)
+        grad = np.matmul(w, onehot) * -np.reshape(g, (-1, 1, 1))
+        nc._accum(logprobs, grad if batched else grad[0])
 
-    return nc._make("ctc_loss", np.asarray(loss_val), (logprobs,), bw)
+    return nc._make("ctc_loss", loss_val if batched else loss_val[0], (logprobs,), bw)
 
 
 def ctc_brute_force(logp: np.ndarray, target, blank: int = BLANK_ID) -> float:
@@ -217,64 +224,59 @@ def ctc_brute_force(logp: np.ndarray, target, blank: int = BLANK_ID) -> float:
 
 
 @dataclass
-class UtteranceOutputs:
-    """Per-utterance model outputs entering the combined objective."""
+class BatchOutputs:
+    """Model outputs of one padded batch entering the combined objective."""
 
-    dec_logprobs: Tensor  # N x V, teacher-forced next-token log-probs
-    dec_targets: np.ndarray  # N target ids (shifted sequence)
-    ctc_src_logprobs: Tensor  # T' x V, intermediate-tap head
-    ctc_tgt_logprobs: Tensor  # T' x V, final-encoder head
-    enc_len: int
+    dec_logprobs: Tensor  # B x N x V, teacher-forced next-token log-probs
+    dec_targets: np.ndarray  # B x N target ids (shifted sequence), right-padded with pad_id
+    ctc_src_logprobs: Tensor  # B x T' x V, intermediate-tap head
+    ctc_tgt_logprobs: Tensor  # B x T' x V, final-encoder head
+    enc_lengths: np.ndarray  # B valid encoder frames
+    pad_id: int | None = None  # dec_targets padding, excluded from the CE means
 
 
-def combined_loss(outputs, src_targets, task_targets, task: str, weights: LossWeights):
-    """Weighted sum of CE and the two CTC losses over a batch.
+def combined_loss(outputs: BatchOutputs, src_targets, task_targets, task: str, weights: LossWeights):
+    """Weighted sum of CE and the two CTC losses over a padded batch.
 
-    outputs: list of UtteranceOutputs; src_targets: per-utterance transcript
-    text-token ids (CTCsrc reference); task_targets: transcript ids for ASR,
-    translation ids for ST (CE and CTCtgt reference).
+    src_targets: per-utterance transcript text-token ids (CTCsrc reference);
+    task_targets: transcript ids for ASR, translation ids for ST (CE and
+    CTCtgt reference). Each utterance's term is lambda_ce times its own
+    token-mean CE plus each CTC loss divided by its target length; both CTC
+    heads go through one batched lattice.
 
     Returns (LossBreakdown, objective) where objective is the sum over
-    utterances of per-utterance losses (divide its gradients by the
+    utterances of per-utterance terms (divide its gradients by the
     utterance count; keeping it a plain sum makes gradient accumulation
     split-invariant).
     """
     if task not in ("ASR", "ST"):
         raise ValueError(f"unknown task {task!r}")
-    if len(outputs) != len(src_targets) or len(outputs) != len(task_targets):
-        raise ValueError("combined_loss: mismatched batch lists")
+    n = len(outputs.enc_lengths)
+    if n == 0 or len(src_targets) != n or len(task_targets) != n:
+        raise ValueError("combined_loss: empty or mismatched batch lists")
     if any(t is None for t in task_targets):
         raise ValueError(f"combined_loss: missing target text for task {task}")
-    ce_vals, src_vals, tgt_vals = [], [], []
-    objective = None
-    token_count = 0
-    for out, src_t, tgt_t in zip(outputs, src_targets, task_targets):
-        ce_u = label_smoothed_ce(out.dec_logprobs, out.dec_targets, weights.smoothing)
-        src_u = ctc_loss(out.ctc_src_logprobs, src_t, input_len=out.enc_len)
-        src_u = nc.scale(src_u, 1.0 / max(len(src_t), 1))
-        tgt_u = ctc_loss(out.ctc_tgt_logprobs, tgt_t, input_len=out.enc_len)
-        tgt_u = nc.scale(tgt_u, 1.0 / max(len(tgt_t), 1))
-        term = nc.add(
-            nc.scale(ce_u, weights.lambda_ce),
-            nc.add(
-                nc.scale(src_u, weights.lambda_ctc_src),
-                nc.scale(tgt_u, weights.lambda_ctc_tgt),
-            ),
-        )
-        objective = term if objective is None else nc.add(objective, term)
-        ce_vals.append(float(ce_u.data))
-        src_vals.append(float(src_u.data))
-        tgt_vals.append(float(tgt_u.data))
-        token_count += len(out.dec_targets)
-    n = len(outputs)
-    ce = sum(ce_vals) / n
-    ctc_src = sum(src_vals) / n
-    ctc_tgt = sum(tgt_vals) / n
+    ce = label_smoothed_ce(outputs.dec_logprobs, outputs.dec_targets, weights.smoothing,
+                           outputs.pad_id)
+    targets = list(src_targets) + list(task_targets)
+    ctc = ctc_loss(nc.concat([outputs.ctc_src_logprobs, outputs.ctc_tgt_logprobs], axis=0),
+                   targets, np.concatenate([outputs.enc_lengths, outputs.enc_lengths]))
+    ctc = nc.mul(ctc, nc.tensor(np.array([1.0 / max(len(t), 1) for t in targets])))
+    lambdas = np.repeat([weights.lambda_ctc_src, weights.lambda_ctc_tgt], n)
+    objective = nc.add(nc.scale(nc.sum_(ce), weights.lambda_ce),
+                       nc.sum_(nc.mul(ctc, nc.tensor(lambdas))))
+    ce_vals = ce.data.astype(np.float64)
+    src_vals, tgt_vals = ctc.data[:n], ctc.data[n:]
+    mean_ce, mean_src, mean_tgt = (sum(x.tolist()) / n for x in (ce_vals, src_vals, tgt_vals))
+    tokens = (outputs.dec_targets.size if outputs.pad_id is None
+              else int(np.sum(outputs.dec_targets != outputs.pad_id)))
     breakdown = LossBreakdown(
-        ce=ce,
-        ctc_src=ctc_src,
-        ctc_tgt=ctc_tgt,
-        total=loss_total(weights, ce, ctc_src, ctc_tgt),
-        token_count=token_count,
+        ce=mean_ce,
+        ctc_src=mean_src,
+        ctc_tgt=mean_tgt,
+        total=loss_total(weights, mean_ce, mean_src, mean_tgt),
+        token_count=tokens,
+        per_utt=loss_total(weights, ce_vals, src_vals, tgt_vals),
+        ctc_infeasible=int(np.isinf(ctc.data).sum()),
     )
     return breakdown, objective

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -177,7 +178,8 @@ class Model:
         self._rng = np.random.default_rng(seed)
         self._build()
         self.training = False
-        self.dropout_rng = np.random.default_rng(seed + 1)
+        self.dropout_rng = np.random.default_rng(seed + 1)  # trainers key per-row generators off it
+        self._row_rngs = None  # per-row dropout generators, set by row_dropout()
 
     # -- parameter registry ------------------------------------------------
 
@@ -224,11 +226,38 @@ class Model:
     def _ln(self, name, x):
         return nc.add(nc.mul(nc.layer_norm(x), self._p(f"{name}.g")), self._p(f"{name}.b"))
 
-    def _dropout(self, x):
-        return nc.dropout(x, self.config.dropout, self.dropout_rng, self.training)
+    @contextmanager
+    def row_dropout(self, rngs):
+        """Within this block, row b of every batch draws its dropout masks from
+        rngs[b] at its own unpadded extent, so a row's masks depend neither on
+        the padding nor on the other rows of the batch. A forward in training
+        mode with dropout needs it."""
+        self._row_rngs = list(rngs)
+        try:
+            yield
+        finally:
+            self._row_rngs = None
 
-    def _mha(self, prefix, x_q, x_kv, mask):
-        """mask: additive bool array broadcastable to B x H x Tq x Tk."""
+    def _dropout(self, x, q_lens, k_lens=None):
+        """q_lens: valid positions per row on axis 1 (B x T x d), or on the
+        query axis of attention weights (B x H x Tq x Tk) with k_lens valid keys."""
+        rate = self.config.dropout
+        if not self.training or rate <= 0.0:
+            return x
+        if self._row_rngs is None or len(self._row_rngs) != x.shape[0]:
+            given = "no" if self._row_rngs is None else len(self._row_rngs)
+            raise ValueError(f"training forward of a batch of {x.shape[0]} needs one dropout "
+                             f"generator per row (Model.row_dropout); got {given}")
+        draws = np.ones(x.shape)  # padded positions are kept; no valid position reads them
+        for b, rng in enumerate(self._row_rngs):
+            ext = ((q_lens[b],) + x.shape[2:] if k_lens is None
+                   else (x.shape[1], q_lens[b], k_lens[b]))
+            draws[(b,) + tuple(slice(0, e) for e in ext)] = rng.random(ext)
+        return nc.dropout(x, rate, draws)
+
+    def _mha(self, prefix, x_q, x_kv, mask, q_lens, k_lens):
+        """mask: additive bool array broadcastable to B x H x Tq x Tk;
+        q_lens/k_lens: valid query/key positions per row (for dropout)."""
         c = self.config
         b, tq, d = x_q.shape
         bk, tk = x_kv.shape[0], x_kv.shape[1]
@@ -245,16 +274,16 @@ class Model:
         if mask is not None:
             scores = nc.mask_fill(scores, mask, MASK_VALUE)
         attn = nc.softmax(scores)
-        attn = self._dropout(attn)
+        attn = self._dropout(attn, q_lens, k_lens)
         out = nc.matmul(attn, v)
         out = nc.reshape(nc.transpose(out, (0, 2, 1, 3)), (b, tq, d))
         return self._linear(f"{prefix}.o", out)
 
-    def _ffn(self, prefix, x):
+    def _ffn(self, prefix, x, lens):
         h = nc.silu(self._linear(f"{prefix}.fc1", self._ln(f"{prefix}.ln", x)))
-        return self._dropout(self._linear(f"{prefix}.fc2", h))
+        return self._dropout(self._linear(f"{prefix}.fc2", h), lens)
 
-    def _conv_module(self, prefix, x, mask_mul):
+    def _conv_module(self, prefix, x, mask_mul, lens):
         h = self._ln(f"{prefix}.ln", x)
         h = nc.glu(self._linear(f"{prefix}.pw1", h))
         if mask_mul is not None:
@@ -264,7 +293,7 @@ class Model:
             padding=self.config.conv_kernel // 2,
         )
         h = nc.silu(self._ln(f"{prefix}.norm", h))
-        return self._dropout(self._linear(f"{prefix}.pw2", h))
+        return self._dropout(self._linear(f"{prefix}.pw2", h), lens)
 
     # -- forward passes ------------------------------------------------------
 
@@ -308,16 +337,17 @@ class Model:
         attn_mask = np.arange(t)[None, None, None, :] >= sub_len[:, None, None, None]
         pe = Tensor(sinusoidal_encoding(t, d, self.config.np_dtype))
         h = nc.add(h, pe)
-        h = self._dropout(h)
+        h = self._dropout(h, sub_len)
         h = nc.mul(h, mask_mul)
         tap_states = None
         for i in range(self.config.enc_layers):
             p = f"enc.{i}"
-            h = nc.add(h, nc.scale(self._ffn(f"{p}.ffn1", h), 0.5))
+            h = nc.add(h, nc.scale(self._ffn(f"{p}.ffn1", h, sub_len), 0.5))
             x = self._ln(f"{p}.attn.ln", h)
-            h = nc.add(h, self._dropout(self._mha(f"{p}.attn", x, x, attn_mask)))
-            h = nc.add(h, self._conv_module(f"{p}.conv", h, mask_mul))
-            h = nc.add(h, nc.scale(self._ffn(f"{p}.ffn2", h), 0.5))
+            h = nc.add(h, self._dropout(self._mha(f"{p}.attn", x, x, attn_mask, sub_len, sub_len),
+                                        sub_len))
+            h = nc.add(h, self._conv_module(f"{p}.conv", h, mask_mul, sub_len))
+            h = nc.add(h, nc.scale(self._ffn(f"{p}.ffn2", h, sub_len), 0.5))
             h = self._ln(f"{p}.final_ln", h)
             h = nc.mul(h, mask_mul)
             if i + 1 == self.config.tap_layer:
@@ -326,28 +356,35 @@ class Model:
             tap_states = h
         return EncoderOutput(states=h, tap_states=tap_states, lengths=sub_len)
 
-    def decode_step(self, enc: EncoderOutput, prefix) -> Tensor:
-        """Teacher-forced log-probs for every position of `prefix` (B x N x V)."""
+    def decode_step(self, enc: EncoderOutput, prefix, lengths=None) -> Tensor:
+        """Teacher-forced log-probs for every position of `prefix` (B x N x V).
+
+        Rows may be right-padded to a common length; `lengths` gives each
+        row's valid positions (default: all N). The causal mask keeps the
+        padding out of every valid position.
+        """
         prefix = np.asarray(prefix, dtype=np.int64)
         if prefix.ndim == 1:
             prefix = prefix[None, :]
         if prefix.shape[1] == 0:
             raise ValueError("decode_step: empty prefix (must start with [bos, lang])")
         b, n = prefix.shape
+        lens = np.full(b, n) if lengths is None else np.asarray(lengths, dtype=np.int64)
         d = self.config.d_model
         h = nc.scale(nc.embedding(self._p("dec.embed"), prefix), math.sqrt(d))
         h = nc.add(h, Tensor(sinusoidal_encoding(n, d, self.config.np_dtype)))
-        h = self._dropout(h)
+        h = self._dropout(h, lens)
         causal = np.triu(np.ones((n, n), dtype=bool), k=1)[None, None, :, :]
         t_enc = enc.states.shape[1]
         cross_mask = np.arange(t_enc)[None, None, None, :] >= enc.lengths[:, None, None, None]
         for i in range(self.config.dec_layers):
             p = f"dec.{i}"
             x = self._ln(f"{p}.self.ln", h)
-            h = nc.add(h, self._dropout(self._mha(f"{p}.self", x, x, causal)))
+            h = nc.add(h, self._dropout(self._mha(f"{p}.self", x, x, causal, lens, lens), lens))
             x = self._ln(f"{p}.cross.ln", h)
-            h = nc.add(h, self._dropout(self._mha(f"{p}.cross", x, enc.states, cross_mask)))
-            h = nc.add(h, self._ffn(f"{p}.ffn", h))
+            h = nc.add(h, self._dropout(
+                self._mha(f"{p}.cross", x, enc.states, cross_mask, lens, enc.lengths), lens))
+            h = nc.add(h, self._ffn(f"{p}.ffn", h, lens))
         h = self._ln("dec.final_ln", h)
         logits = self._linear("dec.out", h)
         return nc.log_softmax(logits)

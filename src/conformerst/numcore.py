@@ -212,6 +212,7 @@ def backward(out: Tensor, seed=None):
         node._consumed = True
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None  # an interior gradient is spent once passed to the parents
     grads = {}
     for node in topo:
         if node._backward is None and node.requires_grad:
@@ -480,11 +481,12 @@ def mask_fill(a: Tensor, mask, value) -> Tensor:
     return _make("mask_fill", data, (a,), bw)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted-scaling dropout; identity when not training or rate == 0."""
-    if not training or rate <= 0.0:
-        return a
-    keep = (rng.random(a.shape) >= rate).astype(a.dtype) / (1.0 - rate)
+def dropout(a: Tensor, rate: float, draws: np.ndarray) -> Tensor:
+    """Inverted-scaling dropout: keeps the elements whose uniform draw (an
+    array of a's shape) is >= rate, scaled by 1 / (1 - rate)."""
+    if draws.shape != a.shape:
+        raise ShapeError(f"dropout: draws {draws.shape} for input {a.shape}")
+    keep = (draws >= rate).astype(a.dtype) / (1.0 - rate)
 
     def bw(g):
         _accum(a, g * keep)

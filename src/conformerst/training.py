@@ -2,9 +2,14 @@
 gradient clipping, task sampling, token-budget batching with gradient
 accumulation, checkpointing/averaging, and a catastrophic-forgetting probe.
 
-The optimizer objective is the plain sum of per-utterance losses; gradients
-are divided by the utterance count only at the optimizer step, which makes
-gradient accumulation exactly equivalent to one large batch.
+Each micro-batch runs one padded forward (encoder, teacher-forced decoder
+over right-padded prefixes, both CTC heads) and one batched loss. The
+optimizer objective is still the plain sum of per-utterance losses;
+gradients are divided by the utterance count only at the optimizer step,
+which makes gradient accumulation exactly equivalent to one large batch.
+Dropout masks are drawn per utterance from a generator keyed by the model's
+dropout stream at the step and the utterance index, at the utterance's
+unpadded extent, so they do not depend on which utterances share a batch.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import numpy as np
 
 from .evaluation import perplexity
 from .frontend import FeatureCache, SpecAugmentPolicy, spec_augment
-from .losses import LossWeights, UtteranceOutputs, combined_loss, loss_total
-from .model import Model, load_checkpoint, save_checkpoint
+from .losses import BatchOutputs, LossWeights, combined_loss, loss_total
+from .model import NUM_FEATURES, Model, load_checkpoint, save_checkpoint
 from .textproc import encode, encode_text
 from . import numcore as nc
 
@@ -109,14 +114,6 @@ class AdamW:
             p *= 1.0 - lr * o.weight_decay
             p -= lr * m_hat / (np.sqrt(v_hat) + o.eps)
         return True
-
-
-def adamw_step(params: dict, grads: dict, lr: float, opt: OptimizerConfig,
-               state: AdamW | None = None) -> AdamW:
-    """Functional wrapper: applies one update and returns the carried state."""
-    state = state or AdamW(opt)
-    state.step(params, grads, lr)
-    return state
 
 
 def clip_grad_norm(grads: dict, max_norm: float = 10.0) -> float:
@@ -218,26 +215,58 @@ def make_batches(entries, batch_tokens: int, cache: FeatureCache):
 # ---------------------------------------------------------------------------
 
 
-def _forward_utterance(model, vocab, entry, feats, task: str):
-    text = entry.transcript if task == "ASR" else entry.translation
-    lang = entry.src_lang if task == "ASR" else entry.tgt_lang
-    if text is None:
-        raise ValueError(f"entry {entry.audio} has no translation for ST")
-    ids = encode(text, lang, vocab)
-    enc = model.encode(feats[None], [feats.shape[0]])
-    t_enc = enc.states.shape[1]
-    v = model.config.vocab_size
-    dec_lp = model.decode_step(enc, [ids[:-1]])
-    out = UtteranceOutputs(
-        dec_logprobs=nc.reshape(dec_lp, (len(ids) - 1, v)),
-        dec_targets=np.asarray(ids[1:]),
-        ctc_src_logprobs=nc.reshape(model.ctc_head(enc.tap_states, "src-tap"), (t_enc, v)),
-        ctc_tgt_logprobs=nc.reshape(model.ctc_head(enc.states, "tgt-final"), (t_enc, v)),
-        enc_len=int(enc.lengths[0]),
+def forward_batch(model, vocab, entries, feats, task: str):
+    """One padded forward of a micro-batch: encoder, teacher-forced decoder
+    and both CTC heads. feats: per-entry T_i x 80 features.
+
+    Returns (BatchOutputs, transcript token ids, task token ids). Features
+    are zero-padded at the end and decoder prefixes right-padded with pad,
+    which the length masks and the causal mask keep out of every valid
+    position.
+    """
+    texts, langs = [], []
+    for e in entries:
+        text = e.transcript if task == "ASR" else e.translation
+        if text is None:
+            raise ValueError(f"entry {e.audio} has no translation for ST")
+        texts.append(text)
+        langs.append(e.src_lang if task == "ASR" else e.tgt_lang)
+    b = len(entries)
+    lengths = np.array([f.shape[0] for f in feats])
+    x = np.zeros((b, lengths.max(), NUM_FEATURES))
+    for i, f in enumerate(feats):
+        x[i, : len(f)] = f
+    ids = [encode(t, lang, vocab) for t, lang in zip(texts, langs)]
+    dec_lens = np.array([len(s) - 1 for s in ids])
+    prefixes = np.full((b, dec_lens.max()), vocab.pad_id, dtype=np.int64)
+    targets = prefixes.copy()
+    for i, s in enumerate(ids):
+        prefixes[i, : dec_lens[i]] = s[:-1]
+        targets[i, : dec_lens[i]] = s[1:]
+    enc = model.encode(x, lengths)
+    out = BatchOutputs(
+        dec_logprobs=model.decode_step(enc, prefixes, dec_lens),
+        dec_targets=targets,
+        ctc_src_logprobs=model.ctc_head(enc.tap_states, "src-tap"),
+        ctc_tgt_logprobs=model.ctc_head(enc.states, "tgt-final"),
+        enc_lengths=enc.lengths,
+        pad_id=vocab.pad_id,
     )
-    src_tokens = encode_text(entry.transcript, vocab)
-    task_tokens = encode_text(text, vocab)
+    src_tokens = [encode_text(e.transcript, vocab) for e in entries]
+    task_tokens = [encode_text(t, vocab) for t in texts]
     return out, src_tokens, task_tokens
+
+
+def _accumulate_batch(model, vocab, entries, feats, task, weights, rngs):
+    """Forward and backward of one micro-batch, adding its gradients to the
+    parameters (skipped when the objective is not finite). Returns
+    (LossBreakdown, encoder frames); the tape is freed on return."""
+    with model.row_dropout(rngs):
+        outs, srcs, tasks = forward_batch(model, vocab, entries, feats, task)
+    breakdown, objective = combined_loss(outs, srcs, tasks, task, weights)
+    if np.isfinite(objective.data):
+        nc.backward(objective)
+    return breakdown, int(outs.enc_lengths.sum())
 
 
 def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
@@ -281,7 +310,9 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
             t0 = time.perf_counter()
             task = "ASR" if cfg.stage == "ASR-pretrain" else sample_task(rng, cfg.p_asr)
             model.zero_grad()
-            breakdowns, n_utts = [], 0
+            # dropout masks are a function of (model dropout stream, step, utterance)
+            step_key = int(model.dropout_rng.integers(2**63))
+            breakdowns, n_utts, frames = [], 0, 0
             for _ in range(cfg.accum):
                 if epoch_order is None or batch_cursor >= len(epoch_order):
                     epoch_order = (rng.permutation(len(batches)) if cfg.shuffle
@@ -289,20 +320,16 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
                     batch_cursor = 0
                 batch = batches[epoch_order[batch_cursor]]
                 batch_cursor += 1
-                outs, srcs, tasks = [], [], []
+                feats = []
                 for i in batch:
-                    feats = cache(entries[i])
-                    if augment is not None:
-                        feats = spec_augment(feats, augment)
-                    o, s, tt = _forward_utterance(model, vocab, entries[i], feats, task)
-                    outs.append(o)
-                    srcs.append(s)
-                    tasks.append(tt)
-                breakdown, objective = combined_loss(outs, srcs, tasks, task, weights)
+                    f = cache(entries[i])
+                    feats.append(f if augment is None else spec_augment(f, augment))
+                rngs = [np.random.default_rng([step_key, i]) for i in batch]
+                breakdown, batch_frames = _accumulate_batch(
+                    model, vocab, [entries[i] for i in batch], feats, task, weights, rngs)
                 breakdowns.append((breakdown, len(batch)))
-                if np.isfinite(objective.data):
-                    nc.backward(objective)
                 n_utts += len(batch)
+                frames += batch_frames
             grads = {n: (p.grad if p.grad is not None else np.zeros_like(p.data)) / n_utts
                      for n, p in model.params.items()}
             norm = clip_grad_norm(grads, cfg.clip_norm)
@@ -316,6 +343,10 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
                 "ctc_tgt": sum(b.ctc_tgt * n for b, n in breakdowns) / total_w,
                 "grad_norm": norm,
                 "task": task,
+                "utts": n_utts,
+                "frames": frames,
+                "tokens": sum(b.token_count for b, _ in breakdowns),
+                "ctc_infeasible": sum(b.ctc_infeasible for b, _ in breakdowns),
             }
             record["total"] = loss_total(
                 weights, record["ce"], record["ctc_src"], record["ctc_tgt"]

@@ -155,6 +155,13 @@ class TestBeamSearch:
             grams = [tuple(h.tokens[i:i + 5]) for i in range(len(h.tokens) - 4)]
             assert len(grams) == len(set(grams))
 
+    def test_batch_of_two_rejected(self):
+        model, vocab, _ = make_setup(seed=4)
+        feats = np.random.default_rng(5).standard_normal((2, 48, 80)) * 0.5
+        enc = model.encode(feats, [48, 40])
+        with pytest.raises(ValueError, match="one utterance"):
+            beam_search(model, vocab, enc, "en", DecodeConfig())
+
     def test_beam1_no_ctc_matches_manual_greedy(self):
         model, vocab, enc = make_setup(seed=3)
         cfg = DecodeConfig(beam=1, ctc_weight=0.0, no_repeat_ngram=0)

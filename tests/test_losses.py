@@ -5,6 +5,7 @@ import pytest
 
 from conformerst import numcore as nc
 from conformerst.losses import (
+    BatchOutputs,
     LossWeights,
     combined_loss,
     ctc_brute_force,
@@ -13,7 +14,6 @@ from conformerst.losses import (
     ctc_loss,
     label_smoothed_ce,
     loss_total,
-    UtteranceOutputs,
 )
 
 
@@ -137,13 +137,72 @@ class TestCTC:
         assert abs(ctc_forward(lp, [3, 1]) + float(ctc_loss(nc.tensor(lp), [3, 1]).data)) < 1e-12
 
 
+def padded_batch(rows, v, seed):
+    """rows: (frames, target) pairs -> R x T_max x V log-probs; padded frames
+    hold unrelated log-probs that the lattice must ignore."""
+    t_max = max(t for t, _ in rows)
+    lp = np.stack([random_logprobs(t_max, v, seed + r) for r in range(len(rows))])
+    return lp, [target for _, target in rows], [t for t, _ in rows]
+
+
+class TestBatchedCTC:
+    # mixed input and target lengths: an empty target, a repeated label and
+    # one infeasible row ([1, 2, 1] needs 3 frames, its row has 2)
+    ROWS = [(5, [2, 1]), (3, []), (4, [1, 1]), (2, [1, 2, 1]), (6, [3]), (6, [1, 3, 3, 2])]
+
+    def test_rows_match_brute_force_and_unbatched_gradients(self):
+        lp, targets, lengths = padded_batch(self.ROWS, 4, seed=20)
+        x = nc.tensor(lp, requires_grad=True)
+        out = ctc_loss(x, targets, lengths)
+        assert out.shape == (len(self.ROWS),)
+        nc.backward(out, seed=np.ones(len(self.ROWS)))
+        assert np.all(np.isfinite(x.grad))
+        for r, (t, target) in enumerate(self.ROWS):
+            oracle = ctc_brute_force(lp[r, :t], target)
+            if math.isinf(oracle):
+                assert out.data[r] == np.inf
+                assert not ctc_feasible(t, target)
+                assert np.all(x.grad[r] == 0.0)
+                continue
+            assert abs(out.data[r] - oracle) < 1e-9, r
+            alone = nc.tensor(lp[r, :t], requires_grad=True)
+            nc.backward(ctc_loss(alone, target))
+            assert np.abs(x.grad[r, :t] - alone.grad).max() < 1e-12, r
+            assert np.all(x.grad[r, t:] == 0.0), r  # padded frames get no gradient
+
+    def test_infeasible_row_leaves_other_rows_unchanged(self):
+        lp, targets, lengths = padded_batch(self.ROWS, 4, seed=21)
+        keep = [r for r, (t, target) in enumerate(self.ROWS) if ctc_feasible(t, target)]
+        full = ctc_loss(nc.tensor(lp), targets, lengths).data
+        part = ctc_loss(nc.tensor(lp[keep]), [targets[r] for r in keep],
+                        [lengths[r] for r in keep]).data
+        assert np.array_equal(full[keep], part)
+
+    def test_gradient_matches_finite_differences(self):
+        targets, lengths = [[1, 2], [2, 2], []], [5, 4, 2]
+        weights = nc.tensor(np.array([1.0, 0.5, 2.0]))
+
+        def f(x):
+            return nc.sum_(nc.mul(ctc_loss(nc.log_softmax(x), targets, lengths), weights))
+
+        x = nc.tensor(np.random.default_rng(22).standard_normal((3, 5, 3)))
+        assert nc.finite_difference_check(f, x) <= 1e-5
+
+    def test_batched_ce_takes_each_rows_own_mean(self):
+        lp = np.stack([random_logprobs(4, 5, 30), random_logprobs(4, 5, 31)])
+        targets = np.array([[1, 2, 3, 4], [2, 0, 9, 9]])  # row 1: two tokens, then pad 9
+        rows = label_smoothed_ce(nc.tensor(lp), targets, 0.1, pad_id=9).data
+        assert abs(rows[0] - float(label_smoothed_ce(nc.tensor(lp[0]), [1, 2, 3, 4], 0.1).data)) < 1e-12
+        assert abs(rows[1] - float(label_smoothed_ce(nc.tensor(lp[1, :2]), [2, 0], 0.1).data)) < 1e-12
+
+
 class TestCombined:
     def _outputs(self, seed):
         rng = np.random.default_rng(seed)
-        dec = nc.log_softmax(nc.tensor(rng.standard_normal((4, 6)), requires_grad=True))
-        src = nc.log_softmax(nc.tensor(rng.standard_normal((5, 6)), requires_grad=True))
-        tgt = nc.log_softmax(nc.tensor(rng.standard_normal((5, 6)), requires_grad=True))
-        return UtteranceOutputs(dec, np.array([1, 2, 3, 4]), src, tgt, enc_len=5)
+        dec = nc.log_softmax(nc.tensor(rng.standard_normal((1, 4, 6)), requires_grad=True))
+        src = nc.log_softmax(nc.tensor(rng.standard_normal((1, 5, 6)), requires_grad=True))
+        tgt = nc.log_softmax(nc.tensor(rng.standard_normal((1, 5, 6)), requires_grad=True))
+        return BatchOutputs(dec, np.array([[1, 2, 3, 4]]), src, tgt, enc_lengths=np.array([5]))
 
     def test_weighted_sum(self):
         w = LossWeights()
@@ -155,13 +214,13 @@ class TestCombined:
 
     def test_breakdown_total_bit_exact(self):
         out = self._outputs(3)
-        bd, _ = combined_loss([out], [[1, 2]], [[1, 2]], "ASR", LossWeights())
+        bd, _ = combined_loss(out, [[1, 2]], [[1, 2]], "ASR", LossWeights())
         assert bd.total == loss_total(LossWeights(), bd.ce, bd.ctc_src, bd.ctc_tgt)
 
     def test_st_requires_translation(self):
         out = self._outputs(4)
         with pytest.raises(ValueError, match="missing target"):
-            combined_loss([out], [[1, 2]], [None], "ST", LossWeights())
+            combined_loss(out, [[1, 2]], [None], "ST", LossWeights())
 
     def test_unknown_task(self):
         with pytest.raises(ValueError, match="task"):

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from conformerst import numcore as nc
 from conformerst.frontend import CorpusSpec, FeatureCache, synth_corpus
-from conformerst.model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from conformerst.losses import LossWeights, combined_loss
+from conformerst.model import Model, ModelConfig, load_checkpoint, save_checkpoint, subsampled_length
 from conformerst.textproc import build_vocab
 from conformerst.training import (
     AdamW,
@@ -14,6 +17,7 @@ from conformerst.training import (
     average_checkpoints,
     clip_grad_norm,
     forgetting_probe,
+    forward_batch,
     load_stage_config,
     make_batches,
     noam_lr,
@@ -151,9 +155,10 @@ class TestStageConfig:
         assert cfg.lr_at(1) == 1e-4 and cfg.max_steps == 10
 
 
-def tiny_model(vocab, seed=0, dropout=0.1):
+def tiny_model(vocab, seed=0, dropout=0.1, dtype="float32"):
     cfg = ModelConfig(vocab_size=len(vocab), enc_layers=2, dec_layers=1,
-                      d_model=16, heads=2, d_ffn=32, conv_kernel=3, dropout=dropout)
+                      d_model=16, heads=2, d_ffn=32, conv_kernel=3, dropout=dropout,
+                      dtype=dtype)
     return Model(cfg, seed=seed)
 
 
@@ -216,6 +221,95 @@ class TestTrainStage:
         batches = make_batches(entries, 2 * per_utt, cache)
         assert all(len(b) == 2 for b in batches)
         assert sorted(i for b in batches for i in b) == list(range(len(entries)))
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus(tmp_path_factory):
+    """Utterances of 2 to 5 tone-words: mixed frame and target lengths."""
+    root = tmp_path_factory.mktemp("mixed")
+    spec = CorpusSpec(num_utts=4, min_tokens=2, max_tokens=5, seed=12)
+    entries, _ = synth_corpus(spec, root)
+    texts = [e.transcript for e in entries] + [e.translation for e in entries]
+    return entries, build_vocab(texts)
+
+
+def batch_losses(model, vocab, entries, cache, task="ST"):
+    """Per-utterance objective terms of one padded forward, and its gradients."""
+    model.zero_grad()
+    outs, srcs, tasks = forward_batch(model, vocab, entries, [cache(e) for e in entries], task)
+    breakdown, objective = combined_loss(outs, srcs, tasks, task, LossWeights())
+    nc.backward(objective)
+    grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
+    return breakdown.per_utt, grads
+
+
+class TestBatchedStep:
+    def test_padded_batch_matches_each_utterance_alone(self, mixed_corpus):
+        entries, vocab = mixed_corpus
+        cache = FeatureCache()
+        assert len({cache(e).shape[0] for e in entries}) > 1
+        assert len({len(e.translation) for e in entries}) > 1
+        model = tiny_model(vocab, seed=6, dropout=0.0, dtype="float64")
+        batched, batch_grads = batch_losses(model, vocab, entries, cache)
+        summed = {}
+        for i, e in enumerate(entries):
+            (alone,), grads = batch_losses(model, vocab, [e], cache)
+            assert abs(batched[i] - alone) <= 1e-5, i
+            for n, g in grads.items():
+                summed[n] = summed.get(n, 0.0) + g
+        assert set(summed) == set(batch_grads)
+        for n, g in batch_grads.items():
+            assert np.abs(g - summed[n]).max() <= 1e-8, n
+
+    def test_dropout_masks_independent_of_batch(self, mixed_corpus):
+        entries, vocab = mixed_corpus
+        cache = FeatureCache()
+        model = tiny_model(vocab, seed=7, dropout=0.1, dtype="float64")
+        plain, _ = batch_losses(model, vocab, entries, cache)
+        model.training = True
+        with model.row_dropout([np.random.default_rng([9, i]) for i in range(len(entries))]):
+            batched, _ = batch_losses(model, vocab, entries, cache)
+        for i, e in enumerate(entries):
+            with model.row_dropout([np.random.default_rng([9, i])]):
+                (alone,), _ = batch_losses(model, vocab, [e], cache)
+            assert abs(batched[i] - alone) <= 1e-5, i
+            assert abs(batched[i] - plain[i]) > 1e-3, i  # dropout did act
+        with model.row_dropout([np.random.default_rng(0)]):
+            with pytest.raises(ValueError, match="one dropout generator per row"):
+                batch_losses(model, vocab, entries[:2], cache)
+        with pytest.raises(ValueError, match="row_dropout"):
+            batch_losses(model, vocab, entries[:1], cache)
+
+    def test_metrics_count_utterances_frames_and_tokens(self, mixed_corpus, tmp_path):
+        entries, vocab = mixed_corpus
+        cache = FeatureCache()
+        batches = make_batches(entries, 30, cache)
+        assert len(batches) >= 2 and max(len(b) for b in batches) >= 2
+        cfg = StageConfig(max_steps=len(batches), batch_tokens=30, shuffle=False, seed=2)
+        _, metrics = train_stage(entries, tiny_model(vocab), vocab, cfg, tmp_path, cache=cache)
+        lines = [json.loads(l) for l in open(metrics)]
+        assert len(lines) == len(batches)
+        for line, batch in zip(lines, batches):
+            assert line["utts"] == len(batch)
+            assert line["frames"] == sum(subsampled_length(cache(entries[i]).shape[0])
+                                         for i in batch)
+            assert line["tokens"] == sum(len(entries[i].transcript) + 2 for i in batch)
+            assert line["ctc_infeasible"] == 0
+            assert "skipped" not in line
+
+    def test_infeasible_ctc_target_skips_the_step(self, mixed_corpus, tmp_path):
+        entries, vocab = mixed_corpus
+        # a transcript far longer than the encoder frames cannot be aligned
+        long = dataclasses.replace(entries[0], transcript=entries[0].transcript * 30)
+        cfg = StageConfig(max_steps=1, batch_tokens=10_000, seed=3)
+        model = tiny_model(vocab)
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        _, metrics = train_stage([long] + entries[1:], model, vocab, cfg, tmp_path)
+        (line,) = [json.loads(l) for l in open(metrics)]
+        assert line["ctc_infeasible"] >= 1
+        assert line["skipped"] is True and line["total"] == math.inf
+        for n, p in model.params.items():
+            assert np.array_equal(p.data, before[n]), n
 
 
 class TestAveraging:
