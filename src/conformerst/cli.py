@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .decoding import DecodeConfig, beam_search
+from .decoding import DecodeConfig, decode_entries
 from .evaluation import perplexity, wer, xrtf_bench
 from .frontend import CorpusSpec, FeatureCache, SOURCE_WORDS, synth_corpus
 from .model import Model, ModelConfig, load_checkpoint
@@ -23,7 +23,6 @@ from .textproc import (
     FilterBounds,
     Vocabulary,
     build_vocab,
-    decode as decode_ids,
     load_manifest,
     ratio_filter,
     save_manifest,
@@ -74,19 +73,6 @@ def _add_decode_flags(p):
     p.add_argument("--ctc-weight", type=float, default=0.2)
     p.add_argument("--no-repeat-ngram", type=int, default=5)
     p.add_argument("--unk-penalty", type=float, default=10_000.0)
-
-
-def _decode_entries(model, vocab, entries, cache, cfg, task):
-    hyps = []
-    for entry in entries:
-        lang = entry.src_lang if task == "ASR" else entry.tgt_lang
-        if lang is None:
-            raise ValueError(f"entry {entry.audio} has no target language for ST")
-        feats = cache(entry)
-        enc = model.encode(feats[None], [feats.shape[0]])
-        best = beam_search(model, vocab, enc, lang, cfg)[0]
-        hyps.append(decode_ids(best.text_tokens(vocab), vocab))
-    return hyps
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +155,7 @@ def cmd_decode(ns):
     vocab = Vocabulary.load(_require(ns.vocab, "vocabulary"))
     model, _, _ = _load_model(ns.checkpoint, seed=ns.seed)
     cache = FeatureCache(root=os.path.dirname(ns.manifest))
-    hyps = _decode_entries(model, vocab, entries, cache, _decode_config(ns), ns.task)
+    hyps = decode_entries(model, vocab, entries, cache, _decode_config(ns), ns.task)
     os.makedirs(os.path.dirname(os.path.abspath(ns.out)), exist_ok=True)
     with open(ns.out, "w", encoding="utf-8") as f:
         for entry, hyp in zip(entries, hyps):
@@ -189,7 +175,7 @@ def cmd_evaluate(ns):
         with open(_require(ns.hyps, "hypotheses")) as f:
             hyps = [json.loads(line)["hyp"] for line in f if line.strip()]
     else:
-        hyps = _decode_entries(model, vocab, entries, cache, _decode_config(ns), ns.task)
+        hyps = decode_entries(model, vocab, entries, cache, _decode_config(ns), ns.task)
     report = wer(refs, hyps)
     ppl = perplexity(model, vocab, entries, ns.task, cache)
     print(report.table())

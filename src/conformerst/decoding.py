@@ -1,6 +1,12 @@
 """Attention beam search with unknown-token penalty, no-repeat n-gram
-blocking, and joint CTC rescoring of completed hypotheses; plus a greedy
-CTC diagnostic decoder.
+blocking, and joint CTC rescoring of completed hypotheses; the one decode
+loop over manifest entries; plus a greedy CTC diagnostic decoder.
+
+The beam search decodes incrementally: it feeds `[bos, lang]` once and then
+only each beam's newest token to `Model.decode_step`, whose state keeps every
+decoder layer's self-attention keys and values and projects the
+cross-attention keys and values once per utterance. Each step scores all
+beams' continuations in one beams x V array.
 
 Decoding has no RNG: identical inputs and config produce identical outputs.
 """
@@ -14,6 +20,8 @@ import numpy as np
 
 from . import numcore as nc
 from .losses import ctc_feasible, ctc_forward, ctc_lattice
+from .textproc import decode as decode_ids
+from .textproc import task_fields
 
 NEG_INF = -np.inf
 
@@ -143,38 +151,40 @@ def beam_search(model, vocab, enc, tgt_lang: str, cfg: DecodeConfig):
         ctc_logprobs = None
         if cfg.ctc_weight > 0.0:
             ctc_logprobs = model.ctc_head(enc.states, "tgt-final").data[0, : enc.lengths[0]]
+        state = model.decoder_state(enc)
+        feed = [start]
         for _ in range(max_len):
-            prefixes = np.array([b.tokens for b in beams], dtype=np.int64)
-            logp = model.decode_step(enc, prefixes).data[:, -1, :]  # beams x V
-            candidates = []
+            scores = model.decode_step(enc, feed, state=state).data[:, -1, :].astype(np.float64)
+            scores[:, vocab.unk_id] -= cfg.unk_penalty
+            scores[:, never] = NEG_INF
             for i, b in enumerate(beams):
-                scores = logp[i].astype(np.float64).copy()
-                scores[vocab.unk_id] -= cfg.unk_penalty
-                scores[never] = NEG_INF
-                for t in banned_ngram_tokens(b.tokens, cfg.no_repeat_ngram):
-                    scores[t] = NEG_INF
-                if not np.isfinite(scores).any():
-                    # every continuation masked: force eos rather than deadlock
-                    candidates.append((b.attn_logp, b, vocab.eos_id))
-                    continue
-                order = np.argsort(scores)[::-1][: cfg.beam]
-                for t in order:
-                    if not np.isfinite(scores[t]):
-                        continue
-                    candidates.append((b.attn_logp + float(scores[t]), b, int(t)))
-            candidates.sort(key=lambda c: c[0], reverse=True)
-            next_beams = []
-            for total, b, tok in candidates:
-                hyp = Hypothesis(tokens=b.tokens + [tok], attn_logp=total)
+                banned = banned_ngram_tokens(b.tokens, cfg.no_repeat_ngram)
+                if banned:
+                    scores[i, list(banned)] = NEG_INF
+            # every continuation masked: force eos at the beam's own score
+            # rather than deadlock
+            scores[~np.isfinite(scores).any(axis=1), vocab.eos_id] = 0.0
+            # per row: descending, the higher id first among ties
+            top = np.argsort(scores, axis=1, kind="stable")[:, ::-1][:, : cfg.beam]
+            top_scores = np.take_along_axis(scores, top, axis=1)
+            rows, ranks = np.nonzero(np.isfinite(top_scores))  # row-major candidate order
+            totals = np.array([b.attn_logp for b in beams])[rows] + top_scores[rows, ranks]
+            next_beams, parents = [], []
+            for j in np.argsort(-totals, kind="stable"):  # descending, stable among ties
+                b, tok = beams[rows[j]], int(top[rows[j], ranks[j]])
+                hyp = Hypothesis(tokens=b.tokens + [tok], attn_logp=float(totals[j]))
                 if tok == vocab.eos_id:
                     finished.append(hyp)
                 else:
                     next_beams.append(hyp)
+                    parents.append(rows[j])
                 if len(next_beams) >= cfg.beam:
                     break
             beams = next_beams
             if not beams or len(finished) >= cfg.beam:
                 break
+            state.reorder(parents)
+            feed = [[b.tokens[-1]] for b in beams]
         # length cap reached with open beams: close them with eos
         if not finished:
             for b in beams:
@@ -185,6 +195,21 @@ def beam_search(model, vocab, enc, tgt_lang: str, cfg: DecodeConfig):
         h.ctc_logp = 0.0
         h.score = combined_score(h.attn_logp, 0.0, 0.0, len(h.tokens) - 2, cfg.length_normalize)
     return sorted(finished, key=lambda h: h.score, reverse=True)
+
+
+def decode_entries(model, vocab, entries, cache, cfg: DecodeConfig, task: str) -> list:
+    """Best-hypothesis text of each manifest entry: features from `cache`,
+    encoder, beam search. Every entry is checked for the task's target
+    before any is decoded."""
+    entries = list(entries)
+    langs = [task_fields(entry, task)[1] for entry in entries]
+    texts = []
+    for entry, lang in zip(entries, langs):
+        feats = cache(entry)
+        enc = model.encode(feats[None], [feats.shape[0]])
+        best = beam_search(model, vocab, enc, lang, cfg)[0]
+        texts.append(decode_ids(best.text_tokens(vocab), vocab))
+    return texts
 
 
 def greedy_attention(model, vocab, enc, tgt_lang: str, max_len_factor: float = 1.0):

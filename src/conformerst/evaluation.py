@@ -9,10 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .decoding import DecodeConfig, beam_search
+from .decoding import DecodeConfig, decode_entries
 from .frontend import FeatureCache
-from .textproc import decode as decode_ids
-from .textproc import encode, normalize_text
+from .textproc import encode, normalize_text, task_fields
 
 
 @dataclass
@@ -90,16 +89,6 @@ def wer(refs, hyps) -> EvalReport:
     )
 
 
-def _task_fields(entry, task: str):
-    if task == "ASR":
-        return entry.transcript, entry.src_lang
-    if task == "ST":
-        if entry.translation is None:
-            raise ValueError(f"entry {entry.audio} has no translation for ST")
-        return entry.translation, entry.tgt_lang
-    raise ValueError(f"unknown task {task!r}")
-
-
 def perplexity(model, vocab, entries, task: str, cache: FeatureCache) -> float:
     """exp of the token-mean unsmoothed CE of teacher-forced gold targets."""
     entries = list(entries)
@@ -109,7 +98,7 @@ def perplexity(model, vocab, entries, task: str, cache: FeatureCache) -> float:
     total_tokens = 0
     with nc.no_grad():
         for entry in entries:
-            text, lang = _task_fields(entry, task)
+            text, lang = task_fields(entry, task)
             ids = encode(text, lang, vocab)
             feats = cache(entry)
             enc = model.encode(feats[None], [feats.shape[0]])
@@ -141,13 +130,7 @@ def xrtf_bench(model, vocab, entries, cache: FeatureCache, batch_size: int = 1,
     batches = [entries[i : i + batch_size] for i in range(0, len(entries), batch_size)]
 
     def run_batch(batch):
-        texts = []
-        for entry in batch:
-            _, lang = _task_fields(entry, task)
-            feats = cache(entry)
-            enc = model.encode(feats[None], [feats.shape[0]])
-            best = beam_search(model, vocab, enc, lang, cfg)[0]
-            texts.append(decode_ids(best.text_tokens(vocab), vocab))
+        texts = decode_entries(model, vocab, batch, cache, cfg, task)
         if sleep_per_batch:
             time.sleep(sleep_per_batch)
         return texts

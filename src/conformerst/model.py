@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -85,6 +86,26 @@ class EncoderOutput:
     tap_states: Tensor  # B x T' x d at the tap layer
     lengths: np.ndarray  # per-utterance valid frame counts after subsampling
 
+
+@dataclass
+class DecoderState:
+    """Incremental decoder state of the rows (beams) of one encoder output;
+    made by `Model.decoder_state`, advanced by `Model.decode_step`."""
+
+    cross_kv: list  # per layer (keys, values), encoder batch x H x T' x dh
+    pe: np.ndarray  # positional table, rows 0.. (grown on demand)
+    self_kv: list  # per layer (keys, values) of the positions fed so far, rows x H x pos x dh
+    pos: int = 0  # positions fed so far
+
+    def reorder(self, parent_rows):
+        """Row r continues from row parent_rows[r]; rows may repeat or drop."""
+        rows = np.asarray(parent_rows, dtype=np.int64)
+        self.self_kv = [tuple(Tensor(t.data[rows]) for t in kv) for kv in self.self_kv]
+
+
+# decoder positions beyond the encoder frames covered by the first positional
+# table (beam search caps outputs at frames + 10 after [bos, lang])
+DECODER_PE_MARGIN = 16
 
 NUM_FEATURES = 80
 SUBSAMPLE_KERNEL = 5
@@ -255,22 +276,27 @@ class Model:
             draws[(b,) + tuple(slice(0, e) for e in ext)] = rng.random(ext)
         return nc.dropout(x, rate, draws)
 
-    def _mha(self, prefix, x_q, x_kv, mask, q_lens, k_lens):
-        """mask: additive bool array broadcastable to B x H x Tq x Tk;
-        q_lens/k_lens: valid query/key positions per row (for dropout)."""
-        c = self.config
+    def _heads(self, t):
+        """B x T x d -> B x H x T x dh."""
+        b, n, d = t.shape
+        h = self.config.heads
+        return nc.transpose(nc.reshape(t, (b, n, h, d // h)), (0, 2, 1, 3))
+
+    def _kv(self, prefix, x):
+        """Keys and values of attention `prefix` over states x, split into heads."""
+        return (self._heads(self._linear(f"{prefix}.k", x)),
+                self._heads(self._linear(f"{prefix}.v", x)))
+
+    def _mha(self, prefix, x_q, kv, mask, q_lens, k_lens):
+        """kv: (keys, values) from `_kv`, B x H x Tk x dh, or with batch 1 to
+        broadcast one encoder output over the query rows; mask: additive bool
+        array broadcastable to B x H x Tq x Tk; q_lens/k_lens: valid query/key
+        positions per row (for dropout)."""
         b, tq, d = x_q.shape
-        bk, tk = x_kv.shape[0], x_kv.shape[1]
-        h, dh = c.heads, d // c.heads
-
-        def split(t, blen, tlen):
-            return nc.transpose(nc.reshape(t, (blen, tlen, h, dh)), (0, 2, 1, 3))
-
-        # bk == 1 with b > 1 broadcasts one encoder output over beam queries
-        q = split(self._linear(f"{prefix}.q", x_q), b, tq)
-        k = split(self._linear(f"{prefix}.k", x_kv), bk, tk)
-        v = split(self._linear(f"{prefix}.v", x_kv), bk, tk)
-        scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        k, v = kv
+        q = self._heads(self._linear(f"{prefix}.q", x_q))
+        scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))),
+                          1.0 / math.sqrt(d // self.config.heads))
         if mask is not None:
             scores = nc.mask_fill(scores, mask, MASK_VALUE)
         attn = nc.softmax(scores)
@@ -344,8 +370,8 @@ class Model:
             p = f"enc.{i}"
             h = nc.add(h, nc.scale(self._ffn(f"{p}.ffn1", h, sub_len), 0.5))
             x = self._ln(f"{p}.attn.ln", h)
-            h = nc.add(h, self._dropout(self._mha(f"{p}.attn", x, x, attn_mask, sub_len, sub_len),
-                                        sub_len))
+            h = nc.add(h, self._dropout(self._mha(f"{p}.attn", x, self._kv(f"{p}.attn", x),
+                                                  attn_mask, sub_len, sub_len), sub_len))
             h = nc.add(h, self._conv_module(f"{p}.conv", h, mask_mul, sub_len))
             h = nc.add(h, nc.scale(self._ffn(f"{p}.ffn2", h, sub_len), 0.5))
             h = self._ln(f"{p}.final_ln", h)
@@ -356,35 +382,77 @@ class Model:
             tap_states = h
         return EncoderOutput(states=h, tap_states=tap_states, lengths=sub_len)
 
-    def decode_step(self, enc: EncoderOutput, prefix, lengths=None) -> Tensor:
-        """Teacher-forced log-probs for every position of `prefix` (B x N x V).
+    def decoder_state(self, enc: EncoderOutput) -> DecoderState:
+        """Empty incremental state for decoding `enc` with `decode_step`.
 
-        Rows may be right-padded to a common length; `lengths` gives each
-        row's valid positions (default: all N). The causal mask keeps the
-        padding out of every valid position.
+        Each layer's cross-attention keys and values are projected here once;
+        with an encoder batch of 1 they are shared by every row (beam) fed
+        later. The self-attention keys and values grow as positions are fed.
+        """
+        return DecoderState(
+            cross_kv=[self._kv(f"dec.{i}.cross", enc.states) for i in range(self.config.dec_layers)],
+            pe=sinusoidal_encoding(enc.states.shape[1] + DECODER_PE_MARGIN, self.config.d_model,
+                                   self.config.np_dtype),
+            self_kv=[None] * self.config.dec_layers,
+        )
+
+    def decode_step(self, enc: EncoderOutput, prefix, lengths=None, state=None) -> Tensor:
+        """Decoder log-probs for every position of `prefix` (B x N x V).
+
+        Without `state` this is teacher forcing: `prefix` holds whole token
+        sequences from position 0. Rows may be right-padded to a common length;
+        `lengths` gives each row's valid positions (default: all N), and the
+        causal mask keeps the padding out of every valid position.
+
+        With `state` (from `decoder_state`, inference only) `prefix` holds the
+        next N tokens of each row, at positions `state.pos` onward. Only those
+        positions are computed: they attend to the keys and values the state
+        holds for the earlier positions, and their own are appended to it.
+        Call `state.reorder` when rows are selected or duplicated between steps.
         """
         prefix = np.asarray(prefix, dtype=np.int64)
         if prefix.ndim == 1:
             prefix = prefix[None, :]
         if prefix.shape[1] == 0:
             raise ValueError("decode_step: empty prefix (must start with [bos, lang])")
+        if state is not None and self.training:
+            raise ValueError("decode_step: an incremental state is for inference; "
+                             "training runs teacher forcing (state=None)")
         b, n = prefix.shape
         lens = np.full(b, n) if lengths is None else np.asarray(lengths, dtype=np.int64)
         d = self.config.d_model
+        if state is None:
+            start = 0
+            pe = sinusoidal_encoding(n, d, self.config.np_dtype)
+        else:
+            start = state.pos
+            if state.pe.shape[0] < start + n:
+                state.pe = sinusoidal_encoding(2 * (start + n), d, self.config.np_dtype)
+            pe = state.pe[start : start + n]
         h = nc.scale(nc.embedding(self._p("dec.embed"), prefix), math.sqrt(d))
-        h = nc.add(h, Tensor(sinusoidal_encoding(n, d, self.config.np_dtype)))
+        h = nc.add(h, Tensor(pe))
         h = self._dropout(h, lens)
-        causal = np.triu(np.ones((n, n), dtype=bool), k=1)[None, None, :, :]
+        # query i sits at position start + i and sees keys up to it
+        causal = (np.arange(start + n)[None, :] > np.arange(start, start + n)[:, None])[None, None]
         t_enc = enc.states.shape[1]
         cross_mask = np.arange(t_enc)[None, None, None, :] >= enc.lengths[:, None, None, None]
         for i in range(self.config.dec_layers):
             p = f"dec.{i}"
             x = self._ln(f"{p}.self.ln", h)
-            h = nc.add(h, self._dropout(self._mha(f"{p}.self", x, x, causal, lens, lens), lens))
+            kv = self._kv(f"{p}.self", x)
+            if state is not None:
+                if state.self_kv[i] is not None:
+                    kv = tuple(nc.concat([old, new], axis=2)
+                               for old, new in zip(state.self_kv[i], kv))
+                state.self_kv[i] = kv
+            h = nc.add(h, self._dropout(self._mha(f"{p}.self", x, kv, causal, lens, lens), lens))
             x = self._ln(f"{p}.cross.ln", h)
+            cross_kv = self._kv(f"{p}.cross", enc.states) if state is None else state.cross_kv[i]
             h = nc.add(h, self._dropout(
-                self._mha(f"{p}.cross", x, enc.states, cross_mask, lens, enc.lengths), lens))
+                self._mha(f"{p}.cross", x, cross_kv, cross_mask, lens, enc.lengths), lens))
             h = nc.add(h, self._ffn(f"{p}.ffn", h, lens))
+        if state is not None:
+            state.pos = start + n
         h = self._ln("dec.final_ln", h)
         logits = self._linear("dec.out", h)
         return nc.log_softmax(logits)
@@ -404,45 +472,64 @@ class Model:
 
 
 def save_checkpoint(path, arrays: dict, config: ModelConfig, step: int, stage: str) -> None:
-    """Binary container: magic, version, JSON metadata, named f32 tensors."""
+    """Binary container: magic, version, JSON metadata, named f32 tensors.
+
+    Written to a temporary file in the same directory and moved over `path`
+    at the end, so `path` holds either the previous or the new checkpoint."""
     meta = json.dumps(
         {"config": asdict(config), "step": int(step), "stage": stage},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta)))
-        f.write(meta)
-        names = sorted(arrays)
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(np.asarray(arrays[name], dtype="<f4"))
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta)))
+            f.write(meta)
+            names = sorted(arrays)
+            f.write(struct.pack("<I", len(names)))
+            for name in names:
+                arr = np.ascontiguousarray(np.asarray(arrays[name], dtype="<f4"))
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<B", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    """Returns (arrays, config, step, stage)."""
+    """Returns (arrays, config, step, stage); a truncated or malformed file
+    raises ValueError naming `path`."""
     with open(path, "rb") as f:
+
+        def read(n):
+            data = f.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: truncated checkpoint (read {len(data)} of {n} bytes "
+                                 f"at offset {f.tell() - len(data)})")
+            return data
+
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        version, meta_len = struct.unpack("<II", f.read(8))
+        version, meta_len = struct.unpack("<II", read(8))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        meta = json.loads(f.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", f.read(4))
+        meta = json.loads(read(meta_len).decode("utf-8"))
+        (count,) = struct.unpack("<I", read(4))
         arrays = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
             size = int(np.prod(shape)) if ndim else 1
-            arrays[name] = np.frombuffer(f.read(4 * size), dtype="<f4").reshape(shape).copy()
+            arrays[name] = np.frombuffer(read(4 * size), dtype="<f4").reshape(shape).copy()
     config = ModelConfig(**meta["config"])
     return arrays, config, meta["step"], meta["stage"]

@@ -303,10 +303,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     data = np.ascontiguousarray(a.data.transpose(axes))
-    inv = np.argsort(axes)
 
     def bw(g):
-        _accum(a, g.transpose(inv))
+        _accum(a, g.transpose(np.argsort(axes)))
 
     return _make("transpose", data, (a,), bw)
 
@@ -421,16 +420,17 @@ def log_softmax(a: Tensor, axis=-1) -> Tensor:
 
 def layer_norm(a: Tensor, eps=1e-5) -> Tensor:
     """Normalize over the last axis (no affine; apply gain/bias separately)."""
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce / n: the same values as ndarray.mean, without its wrapper's cost
+    n = a.shape[-1]
+    mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
     xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     data = xc * inv
 
     def bw(g):
-        n = a.shape[-1]
-        gm = g.mean(axis=-1, keepdims=True)
-        gxm = (g * data).mean(axis=-1, keepdims=True)
+        gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+        gxm = np.add.reduce(g * data, axis=-1, keepdims=True) / n
         _accum(a, inv * (g - gm - data * gxm))
 
     return _make("layer_norm", data, (a,), bw)

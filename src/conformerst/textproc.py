@@ -162,6 +162,18 @@ class ManifestEntry:
         )
 
 
+def task_fields(entry: ManifestEntry, task: str) -> tuple:
+    """(reference text, language) that `task` decodes an entry into."""
+    if task == "ASR":
+        return entry.transcript, entry.src_lang
+    if task == "ST":
+        if entry.translation is None:
+            raise ValueError(f"entry {entry.audio} has no translation and target language "
+                             f"for ST")
+        return entry.translation, entry.tgt_lang
+    raise ValueError(f"unknown task {task!r}")
+
+
 def load_manifest(path) -> list:
     entries = []
     with open(path, encoding="utf-8") as f:

@@ -4,6 +4,11 @@ import os
 import pytest
 
 from conformerst.cli import main
+from conformerst.decoding import DecodeConfig
+from conformerst.evaluation import xrtf_bench
+from conformerst.frontend import FeatureCache
+from conformerst.model import Model, load_checkpoint
+from conformerst.textproc import Vocabulary
 from conformerst.textproc import ManifestEntry, load_manifest, save_manifest
 
 MODEL_FLAGS = ["--enc-layers", "2", "--dec-layers", "1", "--d-model", "16",
@@ -61,6 +66,26 @@ class TestPipeline:
         assert main(["evaluate", "--manifest", str(manifest), "--vocab", str(vocab),
                      "--checkpoint", str(avg), "--task", "ASR",
                      "--hyps", str(hyps)]) == 0
+
+    def test_decode_and_bench_give_the_same_texts(self, workspace, tmp_path):
+        root, manifest, vocab = workspace
+        out = tmp_path / "run0"
+        assert main(["train", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--out", str(out), "--steps", "0", *MODEL_FLAGS]) == 0
+        ckpt = out / "ckpt_000000.ckpt"
+        hyps = tmp_path / "hyps.jsonl"
+        assert main(["decode", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--checkpoint", str(ckpt), "--out", str(hyps), "--task", "ST",
+                     "--beam", "2"]) == 0
+        decoded = [json.loads(l)["hyp"] for l in hyps.read_text().splitlines()]
+
+        arrays, config, _, _ = load_checkpoint(ckpt)
+        model = Model(config)
+        model.load_state(arrays)
+        _, benched = xrtf_bench(model, Vocabulary.load(vocab), load_manifest(manifest),
+                                FeatureCache(), batch_size=3, cfg=DecodeConfig(beam=2),
+                                task="ST")
+        assert benched == decoded
 
     def test_decode_default_flags_recorded(self, workspace, tmp_path):
         root, manifest, vocab = workspace

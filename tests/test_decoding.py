@@ -12,6 +12,7 @@ from conformerst.decoding import (
     beam_search,
     combined_score,
     ctc_prefix_score,
+    decode_entries,
     greedy_attention,
     greedy_ctc,
     joint_rescore,
@@ -19,7 +20,7 @@ from conformerst.decoding import (
 from conformerst.losses import ctc_loss
 from conformerst.model import Model, ModelConfig
 from conformerst import numcore as nc
-from conformerst.textproc import build_vocab
+from conformerst.textproc import ManifestEntry, build_vocab
 
 
 def rand_logprobs(t, v, seed=0):
@@ -121,10 +122,10 @@ class TestNgramBlocking:
         assert banned_ngram_tokens([1, 1, 1, 1, 1, 1], 0) == set()
 
 
-def make_setup(seed=0):
+def make_setup(seed=0, dtype="float32"):
     vocab = build_vocab(["ab ba ca", "bc ab cb"])
     cfg = ModelConfig(vocab_size=len(vocab), enc_layers=2, dec_layers=1,
-                      d_model=16, heads=2, d_ffn=32, conv_kernel=3, dropout=0.0)
+                      d_model=16, heads=2, d_ffn=32, conv_kernel=3, dropout=0.0, dtype=dtype)
     model = Model(cfg, seed=seed)
     rng = np.random.default_rng(seed + 100)
     feats = rng.standard_normal((1, 48, 80)) * 0.5
@@ -183,6 +184,24 @@ class TestBeamSearch:
             tokens.append(vocab.eos_id)
         assert hyp.tokens == tokens
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_attention_scores_match_teacher_forcing(self, seed):
+        """Each returned hypothesis' attention score is the sum of the
+        teacher-forced log-probs of its tokens (the incremental search scores
+        exactly what decode_step gives the whole prefix)."""
+        model, vocab, enc = make_setup(seed=seed, dtype="float64")
+        cfg = DecodeConfig(beam=5, ctc_weight=0.2, no_repeat_ngram=5)
+        max_len = int(enc.lengths[0]) + 10
+        hyps = beam_search(model, vocab, enc, "it", cfg)
+        assert len(hyps) >= 1
+        for h in hyps:
+            with nc.no_grad():
+                lp = model.decode_step(enc, [h.tokens[:-1]]).data[0]
+            gen = h.tokens[2:]
+            scored = min(len(gen), max_len)  # the length cap closes with an unscored eos
+            want = sum(float(lp[1 + j, gen[j]]) for j in range(scored))
+            assert abs(h.attn_logp - want) <= 1e-9
+
     def test_greedy_attention_wrapper(self):
         model, vocab, enc = make_setup(seed=3)
         hyp = greedy_attention(model, vocab, enc, "it")
@@ -203,6 +222,17 @@ class TestBeamSearch:
             DecodeConfig(beam=0)
         with pytest.raises(ValueError, match="ctc_weight"):
             DecodeConfig(ctc_weight=1.5)
+
+
+def test_decode_entries_rejects_entry_without_translation():
+    model, vocab, _ = make_setup(seed=1)
+    bare = ManifestEntry(audio="missing.wav", duration_s=1.0, src_lang="en", transcript="ab")
+
+    def cache(entry):
+        raise AssertionError("decoded before the entries were checked")
+
+    with pytest.raises(ValueError, match="missing.wav has no translation"):
+        decode_entries(model, vocab, [bare], cache, DecodeConfig(), "ST")
 
 
 class TestJointRescore:

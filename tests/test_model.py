@@ -143,6 +143,52 @@ class TestDecode:
         assert np.abs(both.data[0] - alone.data[0]).max() <= 1e-5
 
 
+class TestIncrementalDecode:
+    """decode_step with a decoder state against teacher forcing of each row's
+    whole prefix (float64, so only summation order differs)."""
+
+    def setup_model(self):
+        m = Model(desk_config(dtype="float64"), seed=4)
+        return m, m.encode(features(40, seed=9), [40])  # 10 frames: a 26-position table
+
+    def test_every_position_matches_full_prefix(self):
+        m, enc = self.setup_model()
+        # 30 positions: beyond the state's first positional table
+        tokens = [3, 5] + np.random.default_rng(1).integers(7, 12, size=28).tolist()
+        with nc.no_grad():
+            full = m.decode_step(enc, [tokens]).data
+            st = m.decoder_state(enc)
+            steps = [m.decode_step(enc, [tokens[:2]], state=st).data]
+            steps += [m.decode_step(enc, [[t]], state=st).data for t in tokens[2:]]
+        inc = np.concatenate(steps, axis=1)
+        assert inc.shape == full.shape and st.pos == len(tokens)
+        assert np.abs(inc - full).max() <= 1e-10
+
+    def test_reorder_duplicates_and_drops_rows(self):
+        m, enc = self.setup_model()
+        rows = [[3, 5], [3, 5], [3, 5]]
+        feeds = [[[7], [8], [9]], [[4], [6], [11]], [[10], [10], [7]]]
+        parents = [[2, 2, 0], [1, 0, 0]]  # row 1 dropped, rows duplicated
+        with nc.no_grad():
+            st = m.decoder_state(enc)
+            m.decode_step(enc, rows, state=st)
+            for k, feed in enumerate(feeds):
+                rows = [r + f for r, f in zip(rows, feed)]
+                got = m.decode_step(enc, feed, state=st).data[:, 0]
+                want = m.decode_step(enc, rows).data[:, -1]
+                assert np.abs(got - want).max() <= 1e-10, k
+                if k < len(parents):
+                    st.reorder(parents[k])
+                    rows = [rows[i] for i in parents[k]]
+
+    def test_state_rejected_in_training(self):
+        m, enc = self.setup_model()
+        st = m.decoder_state(enc)
+        m.training = True
+        with pytest.raises(ValueError, match="inference"):
+            m.decode_step(enc, [[3, 5]], state=st)
+
+
 class TestCtcHead:
     def test_normalized_and_shaped(self):
         m = Model(desk_config(), seed=6)
@@ -222,6 +268,34 @@ class TestCheckpoint:
         m2.load_state(arrays)
         f = features(40, seed=15)
         assert np.array_equal(m.encode(f, [40]).states.data, m2.encode(f, [40]).states.data)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        m = Model(desk_config(), seed=8)
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(p, m.state_arrays(), m.config, 1, "ASR-pretrain")
+        before = p.read_bytes()
+
+        class Unwritable:  # fails when the writer reaches it, midway through the file
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        arrays = dict(m.state_arrays())
+        arrays["enc.0.conv.dw.w"] = Unwritable()
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(p, arrays, m.config, 2, "ASR-pretrain")
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["a.ckpt"]
+
+    def test_truncated_file_rejected(self, tmp_path):
+        m = Model(desk_config(), seed=8)
+        p = tmp_path / "a.ckpt"
+        save_checkpoint(p, m.state_arrays(), m.config, 3, "ASR-pretrain")
+        data = p.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in (0, 3, 6, 12, 40, len(data) // 2, len(data) - 5, len(data) - 1):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError, match="cut.ckpt"):
+                load_checkpoint(cut)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk"

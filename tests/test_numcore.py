@@ -166,3 +166,24 @@ def test_fd_check_log_softmax_pick():
         return nc.sum_(nc.gather_index(nc.log_softmax(t), np.array([2])))
 
     assert nc.finite_difference_check(f, x) <= 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_equals_mean_formulation(dtype):
+    """layer_norm's reductions give the same bits as the ndarray.mean form."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 7)), int(rng.integers(1, 130)))
+        x = (rng.standard_normal(shape) * rng.uniform(0.01, 100.0)).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        y = xc * inv
+        dx = inv * (g - g.mean(axis=-1, keepdims=True)
+                    - y * (g * y).mean(axis=-1, keepdims=True))
+        t = nc.tensor(x, requires_grad=True)
+        out = nc.layer_norm(t)
+        nc.backward(out, g)
+        assert out.dtype == dtype and t.grad.dtype == dtype
+        assert np.array_equal(out.data, y)
+        assert np.array_equal(t.grad, dx)
