@@ -211,9 +211,3 @@ def decode_entries(model, vocab, entries, cache, cfg: DecodeConfig, task: str) -
         texts.append(decode_ids(best.text_tokens(vocab), vocab))
     return texts
 
-
-def greedy_attention(model, vocab, enc, tgt_lang: str, max_len_factor: float = 1.0):
-    """Plain argmax decoding (beam=1, no CTC); used as a reference path."""
-    cfg = DecodeConfig(beam=1, ctc_weight=0.0, no_repeat_ngram=0, unk_penalty=0.0,
-                       max_len_factor=max_len_factor)
-    return beam_search(model, vocab, enc, tgt_lang, cfg)[0]

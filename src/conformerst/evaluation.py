@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import frontend
 from . import numcore as nc
 from .decoding import DecodeConfig, decode_entries
 from .frontend import FeatureCache
@@ -125,12 +126,15 @@ def xrtf_bench(model, vocab, entries, cache: FeatureCache, batch_size: int = 1,
     if not entries:
         raise ValueError("xrtf_bench: empty manifest")
     cfg = cfg or DecodeConfig()
-    for entry in entries:  # pre-read audio so I/O stays outside the clock
-        cache(entry)
+    # audio is read before the clock starts; features are extracted inside it
+    waves = {entry.audio: frontend.read_wav(cache.resolve(entry)) for entry in entries}
     batches = [entries[i : i + batch_size] for i in range(0, len(entries), batch_size)]
 
+    def features(entry):
+        return frontend.extract_features(waves[entry.audio])
+
     def run_batch(batch):
-        texts = decode_entries(model, vocab, batch, cache, cfg, task)
+        texts = decode_entries(model, vocab, batch, features, cfg, task)
         if sleep_per_batch:
             time.sleep(sleep_per_batch)
         return texts

@@ -17,7 +17,6 @@ __all__ = [
     "GraphError",
     "tensor",
     "backward",
-    "forward_op",
     "finite_difference_check",
     "set_strict_mode",
     "no_grad",
@@ -37,7 +36,7 @@ _GRAD_ENABLED = True
 
 
 def set_strict_mode(enabled: bool) -> None:
-    """When enabled, ops reject non-finite inputs."""
+    """When enabled, every op rejects a non-finite result."""
     global _STRICT_MODE
     _STRICT_MODE = bool(enabled)
 
@@ -57,11 +56,9 @@ class no_grad:
         return False
 
 
-def _check_finite(op, *arrays):
-    if _STRICT_MODE:
-        for a in arrays:
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{op}: non-finite input in strict mode")
+def _check_finite(op, a):
+    if _STRICT_MODE and not np.all(np.isfinite(a)):
+        raise ValueError(f"{op}: non-finite result in strict mode")
 
 
 class Tensor:
@@ -69,8 +66,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         # ascontiguousarray would promote 0-d arrays to 1-d; keep them 0-d
@@ -97,51 +94,12 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
-    def numpy(self):
-        return self.data
-
-    def detach(self):
-        t = Tensor(self.data, requires_grad=False)
-        return t
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def tensor(data, requires_grad=False, dtype=None):
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def _as_tensor(x, dtype):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+def tensor(data, requires_grad=False):
+    return Tensor(data, requires_grad=requires_grad)
 
 
 def _make(op, data, parents, backward_fn):
@@ -213,11 +171,6 @@ def backward(out: Tensor, seed=None):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = None  # an interior gradient is spent once passed to the parents
-    grads = {}
-    for node in topo:
-        if node._backward is None and node.requires_grad:
-            grads[id(node)] = node.grad
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +189,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, _unbroadcast(g, b.shape))
 
     return _make("add", data, (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make("sub", data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -271,24 +211,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         _accum(a, g * c)
 
     return _make("scale", data, (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def bw(g):
-        _accum(a, g * data)
-
-    return _make("exp", data, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return _make("log", data, (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -503,43 +425,54 @@ def conv1d_out_len(t: int, kernel: int, stride: int, padding: int) -> int:
     return (t + 2 * padding - kernel) // stride + 1
 
 
-def _frame_windows(x, kernel, stride, padding):
-    """x: B x T x C -> windows B x T_out x K x C (copy, padded with zeros)."""
-    b, t, c = x.shape
-    if padding:
-        x = np.concatenate(
-            [np.zeros((b, padding, c), x.dtype), x, np.zeros((b, padding, c), x.dtype)],
-            axis=1,
-        )
-    t_out = (x.shape[1] - kernel) // stride + 1
-    idx = (np.arange(t_out)[:, None] * stride + np.arange(kernel)[None, :])
-    return x[:, idx, :], t_out  # B x T_out x K x C
+def _frame_windows(op, x: Tensor, w: Tensor, stride, padding):
+    """Check a convolution's shapes, then frame x (B x T x C) into its
+    zero-padded windows B x T_out x K x C (a copy)."""
+    kernel = w.shape[0]
+    if stride < 1 or kernel < 1:
+        raise ShapeError(f"{op}: invalid stride {stride} or kernel {kernel}")
+    if x.ndim != 3 or x.shape[2] != w.shape[1]:
+        raise ShapeError(f"{op}: input {x.shape} does not match weight {w.shape}")
+    if x.shape[1] + 2 * padding < kernel:
+        raise ShapeError(f"{op}: input {x.shape} shorter than kernel {kernel}")
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)))
+    t_out = (xp.shape[1] - kernel) // stride + 1
+    return np.take(xp, np.arange(t_out)[:, None] * stride + np.arange(kernel), axis=1)
+
+
+def _overlap_add(gwin, t, stride, padding):
+    """Adjoint of `_frame_windows`: window gradients B x T_out x K x C summed
+    back onto the T input frames, one slice per tap. Taps run last to first,
+    so each frame adds its windows in the order np.add.at would."""
+    b, t_out, kernel, c = gwin.shape
+    gx = np.zeros((b, t + 2 * padding, c), gwin.dtype)
+    span = stride * (t_out - 1) + 1
+    for k in reversed(range(kernel)):
+        gx[:, k : k + span : stride] += gwin[:, :, k]
+    return gx[:, padding : padding + t]
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
     """Strided 1D convolution. x: B x T x Cin, w: K x Cin x Cout, b: Cout."""
-    if stride < 1 or w.shape[0] < 1:
-        raise ShapeError(f"conv1d: invalid stride {stride} or kernel {w.shape[0]}")
-    if x.ndim != 3 or x.shape[2] != w.shape[1]:
-        raise ShapeError(f"conv1d: input {x.shape} does not match weight {w.shape}")
-    kernel = w.shape[0]
-    if x.shape[1] + 2 * padding < kernel:
-        raise ShapeError(f"conv1d: input {x.shape} shorter than kernel {kernel}")
-    win, t_out = _frame_windows(x.data, kernel, stride, padding)
-    data = np.einsum("btkc,kcd->btd", win, w.data, optimize=True)
+    win = _frame_windows("conv1d", x, w, stride, padding)
+    bsz, t_out, kernel, cin = win.shape
+    # windows as (B*T_out) x (K*Cin) columns times a (K*Cin) x Cout weight; the
+    # output and input-gradient products take the weight as left operand,
+    # which rounds them exactly as the einsum form of the convolution
+    cols = win.reshape(bsz * t_out, kernel * cin)
+    w2 = w.data.reshape(kernel * cin, -1)
+    data = np.matmul(w2.T, cols.T).T.reshape(bsz, t_out, -1)
     if b is not None:
         data = data + b.data
 
     def bw(g):
         if b is not None:
             _accum(b, g.sum(axis=(0, 1)))
-        _accum(w, np.einsum("btkc,btd->kcd", win, g, optimize=True))
+        g2 = g.reshape(bsz * t_out, -1)
+        _accum(w, np.matmul(cols.T, g2).reshape(w.shape))
         if x.requires_grad:
-            gwin = np.einsum("btd,kcd->btkc", g, w.data, optimize=True)
-            gx = np.zeros((x.shape[0], x.shape[1] + 2 * padding, x.shape[2]), x.dtype)
-            idx = np.arange(t_out)[:, None] * stride + np.arange(kernel)[None, :]
-            np.add.at(gx, (slice(None), idx, slice(None)), gwin)
-            _accum(x, gx[:, padding : padding + x.shape[1], :])
+            gwin = np.matmul(w2, g2.T).T.reshape(bsz, t_out, kernel, cin)
+            _accum(x, _overlap_add(gwin, x.shape[1], stride, padding))
 
     parents = (x, w, b) if b is not None else (x, w)
     return _make("conv1d", data, parents, bw)
@@ -547,67 +480,25 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
 
 def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor | None, padding: int = 0) -> Tensor:
     """Per-channel 1D convolution, stride 1. x: B x T x C, w: K x C, b: C."""
-    if x.ndim != 3 or x.shape[2] != w.shape[1]:
-        raise ShapeError(f"depthwise_conv1d: input {x.shape} does not match weight {w.shape}")
-    kernel = w.shape[0]
-    if x.shape[1] + 2 * padding < kernel:
-        raise ShapeError(f"depthwise_conv1d: input {x.shape} shorter than kernel {kernel}")
-    win, t_out = _frame_windows(x.data, kernel, 1, padding)
-    data = np.einsum("btkc,kc->btc", win, w.data, optimize=True)
+    win = _frame_windows("depthwise_conv1d", x, w, 1, padding)
+    data = np.einsum("btkc,kc->btc", win, w.data)
     if b is not None:
         data = data + b.data
 
     def bw(g):
         if b is not None:
             _accum(b, g.sum(axis=(0, 1)))
-        _accum(w, np.einsum("btkc,btc->kc", win, g, optimize=True))
+        _accum(w, np.einsum("btkc,btc->kc", win, g))
         if x.requires_grad:
-            gwin = np.einsum("btc,kc->btkc", g, w.data, optimize=True)
-            gx = np.zeros((x.shape[0], x.shape[1] + 2 * padding, x.shape[2]), x.dtype)
-            idx = np.arange(t_out)[:, None] + np.arange(kernel)[None, :]
-            np.add.at(gx, (slice(None), idx, slice(None)), gwin)
-            _accum(x, gx[:, padding : padding + x.shape[1], :])
+            _accum(x, _overlap_add(g[:, :, None, :] * w.data, x.shape[1], 1, padding))
 
     parents = (x, w, b) if b is not None else (x, w)
     return _make("depthwise_conv1d", data, parents, bw)
 
 
 # ---------------------------------------------------------------------------
-# op dispatch and the finite-difference oracle
+# the finite-difference oracle
 # ---------------------------------------------------------------------------
-
-_OP_TABLE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "matmul": matmul,
-    "exp": exp,
-    "log": log,
-    "reshape": reshape,
-    "transpose": transpose,
-    "concat": concat,
-    "sum": sum_,
-    "mean": mean_,
-    "silu": silu,
-    "glu": glu,
-    "softmax": softmax,
-    "log_softmax": log_softmax,
-    "layer_norm": layer_norm,
-    "embedding": embedding,
-    "gather_index": gather_index,
-    "mask_fill": mask_fill,
-    "dropout": dropout,
-    "conv1d": conv1d,
-    "depthwise_conv1d": depthwise_conv1d,
-}
-
-
-def forward_op(kind: str, inputs, attrs=None) -> Tensor:
-    """Dispatch an op by name; attrs are passed as keyword arguments."""
-    if kind not in _OP_TABLE:
-        raise KeyError(f"unknown op kind {kind!r}")
-    return _OP_TABLE[kind](*inputs, **(attrs or {}))
 
 
 def finite_difference_check(f, x: Tensor, eps: float = 1e-6) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import perplexity
-from .frontend import FeatureCache, SpecAugmentPolicy, spec_augment
+from .frontend import FeatureCache
 from .losses import BatchOutputs, LossWeights, combined_loss, loss_total
 from .model import NUM_FEATURES, Model, load_checkpoint, save_checkpoint
 from .textproc import encode, encode_text
@@ -271,7 +271,6 @@ def _accumulate_batch(model, vocab, entries, feats, task, weights, rngs):
 
 def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
                 weights: LossWeights | None = None, cache: FeatureCache | None = None,
-                augment: SpecAugmentPolicy | None = None,
                 opt: OptimizerConfig | None = None):
     """Runs one training stage; returns (final checkpoint path, metrics path).
 
@@ -320,10 +319,7 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
                     batch_cursor = 0
                 batch = batches[epoch_order[batch_cursor]]
                 batch_cursor += 1
-                feats = []
-                for i in batch:
-                    f = cache(entries[i])
-                    feats.append(f if augment is None else spec_augment(f, augment))
+                feats = [cache(entries[i]) for i in batch]
                 rngs = [np.random.default_rng([step_key, i]) for i in batch]
                 breakdown, batch_frames = _accumulate_batch(
                     model, vocab, [entries[i] for i in batch], feats, task, weights, rngs)

@@ -13,7 +13,6 @@ from conformerst.decoding import (
     combined_score,
     ctc_prefix_score,
     decode_entries,
-    greedy_attention,
     greedy_ctc,
     joint_rescore,
 )
@@ -201,14 +200,6 @@ class TestBeamSearch:
             scored = min(len(gen), max_len)  # the length cap closes with an unscored eos
             want = sum(float(lp[1 + j, gen[j]]) for j in range(scored))
             assert abs(h.attn_logp - want) <= 1e-9
-
-    def test_greedy_attention_wrapper(self):
-        model, vocab, enc = make_setup(seed=3)
-        hyp = greedy_attention(model, vocab, enc, "it")
-        ref = beam_search(model, vocab, enc, "it",
-                          DecodeConfig(beam=1, ctc_weight=0.0, no_repeat_ngram=0,
-                                       unk_penalty=0.0))[0]
-        assert hyp.tokens == ref.tokens
 
     def test_zero_ctc_weight_preserves_attention_ranking(self):
         model, vocab, enc = make_setup(seed=4)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from conformerst import frontend
 from conformerst.decoding import DecodeConfig
 from conformerst.evaluation import EvalReport, perplexity, wer, xrtf_bench
 from conformerst.frontend import CorpusSpec, FeatureCache, synth_corpus
@@ -120,6 +121,19 @@ class TestXrtf:
         model, vocab, _, cache = setup
         with pytest.raises(ValueError, match="empty"):
             xrtf_bench(model, vocab, [], cache)
+
+    def test_clock_includes_feature_extraction(self, setup, monkeypatch):
+        model, vocab, entries, cache = setup
+        extract = frontend.extract_features
+
+        def slow_extract(samples):
+            time.sleep(0.05)
+            return extract(samples)
+
+        monkeypatch.setattr(frontend, "extract_features", slow_extract)
+        cfg = DecodeConfig(beam=1, ctc_weight=0.0)
+        report, _ = xrtf_bench(model, vocab, entries, cache, cfg=cfg)
+        assert report.compute_seconds >= 0.05 * len(entries)  # one extraction per entry
 
     def test_table_rendering(self):
         text = EvalReport(wer=0.25, substitutions=1, ref_words=4).table()

@@ -42,7 +42,7 @@ class TestShapes:
         nc.set_strict_mode(True)
         try:
             with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
-                nc.exp(nc.tensor([1e6]))
+                nc.scale(nc.tensor([1e308]), 10.0)
         finally:
             nc.set_strict_mode(False)
 
@@ -65,12 +65,6 @@ class TestBackward:
         with pytest.raises(nc.GraphError):
             nc.backward(y)
 
-    def test_detached_tensor_gets_no_grad(self):
-        x = nc.tensor(rand(3), requires_grad=True)
-        d = x.detach()
-        nc.backward(nc.sum_(nc.mul(d, d)))
-        assert x.grad is None and d.grad is None
-
     def test_nonparticipating_leaf(self):
         x = nc.tensor(rand(3), requires_grad=True)
         y = nc.tensor(rand(3), requires_grad=True)
@@ -84,7 +78,6 @@ OPS = {
     "softmax": lambda x: nc.sum_(nc.mul(nc.softmax(x), nc.tensor(rand(3, 6, seed=9)))),
     "log_softmax": lambda x: nc.sum_(nc.mul(nc.log_softmax(x), nc.tensor(rand(3, 6, seed=9)))),
     "layer_norm": lambda x: nc.sum_(nc.mul(nc.layer_norm(x), nc.tensor(rand(3, 6, seed=9)))),
-    "exp": lambda x: nc.sum_(nc.exp(x)),
     "matmul": lambda x: nc.sum_(nc.matmul(x, nc.tensor(rand(6, 2, seed=4)))),
     "mask_fill": lambda x: nc.sum_(
         nc.mul(nc.softmax(nc.mask_fill(x, np.arange(6) >= 4, -1e30)), nc.tensor(rand(3, 6, seed=9)))
@@ -120,6 +113,45 @@ def test_conv_gradients():
 
     assert nc.finite_difference_check(g, w, eps=1e-6) <= 1e-5
 
+    # every input of both convolutions (kernel 5), biases included, over
+    # input lengths that leave 0, 1 or 2 frames past the last window
+    for t, stride, padding in [(12, 2, 2), (13, 2, 2), (14, 2, 2),
+                               (12, 3, 0), (13, 3, 0), (14, 3, 0)]:
+        args = {"x": rand(2, t, 3, seed=8) * 0.5, "w": rand(5, 3, 4, seed=2) * 0.3,
+                "b": rand(4, seed=3) * 0.3, "dw": rand(5, 4, seed=6) * 0.3,
+                "db": rand(4, seed=7) * 0.3}
+
+        def both(var, value):
+            a = {k: nc.tensor(v) for k, v in args.items()}
+            a[var] = value
+            h = nc.conv1d(a["x"], a["w"], a["b"], stride=stride, padding=padding)
+            h = nc.depthwise_conv1d(h, a["dw"], a["db"], padding=2)
+            return nc.sum_(nc.silu(h))
+
+        for var in args:
+            err = nc.finite_difference_check(lambda v: both(var, v), nc.tensor(args[var]))
+            assert err <= 1e-5, (t, stride, padding, var, err)
+
+        # frames that no window covers get exactly zero gradient, the others not
+        xt = nc.tensor(args["x"], requires_grad=True)
+        out = nc.conv1d(xt, nc.tensor(args["w"]), None, stride=stride, padding=padding)
+        nc.backward(out, rand(*out.shape, seed=4))
+        covered = stride * (out.shape[1] - 1) + 5 - padding
+        assert np.array_equal(xt.grad[:, covered:], np.zeros((2, max(t - covered, 0), 3)))
+        assert np.all(xt.grad[:, :covered] != 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_overlap_add_equals_scatter(dtype):
+    """The window-gradient adjoint gives the same bits as an np.add.at scatter."""
+    for t, kernel, stride, padding in [(13, 5, 2, 2), (14, 5, 3, 0), (40, 7, 1, 3), (9, 15, 1, 7)]:
+        t_out = nc.conv1d_out_len(t, kernel, stride, padding)
+        gwin = rand(3, t_out, kernel, 4, seed=t + kernel).astype(dtype) * 10.0
+        ref = np.zeros((3, t + 2 * padding, 4), dtype)
+        idx = np.arange(t_out)[:, None] * stride + np.arange(kernel)
+        np.add.at(ref, (slice(None), idx, slice(None)), gwin)
+        assert np.array_equal(nc._overlap_add(gwin, t, stride, padding), ref[:, padding:padding + t])
+
 
 def test_embedding_gradient_scatter():
     w = nc.tensor(rand(5, 3), requires_grad=True)
@@ -136,15 +168,6 @@ def test_masked_positions_zero_grad():
     out = nc.mask_fill(x, np.array([False, True, False, True]), 0.0)
     nc.backward(nc.sum_(nc.mul(out, out)))
     assert x.grad[1] == 0.0 and x.grad[3] == 0.0
-
-
-def test_forward_op_dispatch():
-    a = nc.tensor(rand(2, 3))
-    b = nc.tensor(rand(3, 4))
-    out = nc.forward_op("matmul", [a, b])
-    assert out.shape == (2, 4)
-    with pytest.raises(KeyError):
-        nc.forward_op("bogus", [a])
 
 
 def test_determinism():
