@@ -26,6 +26,7 @@ from .textproc import (
     load_manifest,
     ratio_filter,
     save_manifest,
+    task_fields,
 )
 from .training import (
     StageConfig,
@@ -167,10 +168,10 @@ def cmd_decode(ns):
 
 def cmd_evaluate(ns):
     entries = load_manifest(_require(ns.manifest, "manifest"))
+    refs = [task_fields(e, ns.task)[0] for e in entries]
     vocab = Vocabulary.load(_require(ns.vocab, "vocabulary"))
     model, _, _ = _load_model(ns.checkpoint, seed=ns.seed)
     cache = FeatureCache(root=os.path.dirname(ns.manifest))
-    refs = [e.transcript if ns.task == "ASR" else e.translation for e in entries]
     if ns.hyps is not None:
         with open(_require(ns.hyps, "hypotheses")) as f:
             hyps = [json.loads(line)["hyp"] for line in f if line.strip()]

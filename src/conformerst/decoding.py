@@ -13,13 +13,12 @@ Decoding has no RNG: identical inputs and config produce identical outputs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numcore as nc
-from .losses import ctc_feasible, ctc_forward, ctc_lattice
+from .losses import ctc_lattice
 from .textproc import decode as decode_ids
 from .textproc import task_fields
 
@@ -75,38 +74,6 @@ def _norm(score: float, hyp_len: int, normalize: bool) -> float:
 
 def combined_score(attn_logp: float, ctc_logp: float, w: float, hyp_len: int, normalize: bool) -> float:
     return _norm((1.0 - w) * attn_logp + w * ctc_logp, hyp_len, normalize)
-
-
-def ctc_prefix_score(prefix, ctc_logprobs: np.ndarray, blank: int = 0, complete: bool = False) -> float:
-    """log-probability mass of label sequences beginning with `prefix`.
-
-    With complete=True the prefix is scored as the full label sequence
-    (equals -ctc_loss of that sequence). The empty prefix scores 0 by the
-    cumulative-prefix convention; prefixes infeasible for the number of
-    frames score -inf.
-    """
-    prefix = [int(t) for t in prefix]
-    logp = np.asarray(ctc_logprobs)
-    t_len = logp.shape[0]
-    if not prefix:
-        return 0.0 if not complete else ctc_forward(logp, [], blank)
-    if not ctc_feasible(t_len, prefix):
-        return NEG_INF
-    if complete:
-        return ctc_forward(logp, prefix, blank)
-    # The states before the final label never depend on it, so the lattice of
-    # the complete prefix carries them; the mass entering the final-label
-    # state at frame t (any continuation counts) is absorbed, summed over t.
-    lat = ctc_lattice(logp[None], [prefix], [t_len], blank)
-    alpha, emit = lat.alpha[0], lat.emit[0]
-    last = 2 * len(prefix) - 1  # state index of the final label
-    enter = np.full(t_len, NEG_INF)
-    enter[0] = alpha[0, last]  # nonzero only for a one-label prefix
-    into = alpha[:-1, last - 1]
-    if last >= 2 and prefix[-1] != prefix[-2]:
-        into = np.logaddexp(into, alpha[:-1, last - 2])
-    enter[1:] = into + emit[1:, last]
-    return float(np.logaddexp.reduce(enter))
 
 
 def greedy_ctc(ctc_logprobs: np.ndarray, blank: int = 0) -> list:

@@ -100,6 +100,8 @@ class DecoderState:
     def reorder(self, parent_rows):
         """Row r continues from row parent_rows[r]; rows may repeat or drop."""
         rows = np.asarray(parent_rows, dtype=np.int64)
+        if not self.self_kv or np.array_equal(rows, np.arange(self.self_kv[0][0].shape[0])):
+            return  # rows stay in order (always at beam 1): nothing to copy
         self.self_kv = [tuple(Tensor(t.data[rows]) for t in kv) for kv in self.self_kv]
 
 
@@ -191,11 +193,17 @@ def parameter_count_for(config: ModelConfig) -> int:
 
 
 class Model:
-    """Holds the parameter registry and the forward passes."""
+    """Holds the parameter registry and the forward passes.
+
+    Every parameter's `data` is a view of one contiguous array, `flat`, in
+    `parameter_shapes` order; after the first `zero_grad`, every `grad` is the
+    matching view of `flat_grad`, so the optimizer sees two flat arrays.
+    """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
+        self.flat_grad = None  # allocated by the first zero_grad
         self._rng = np.random.default_rng(seed)
         self._build()
         self.training = False
@@ -204,24 +212,33 @@ class Model:
 
     # -- parameter registry ------------------------------------------------
 
-    def _build(self):
-        dt = self.config.np_dtype
+    def _split(self, flat):
+        """(name, init kind, view of `flat`) per parameter, in `parameter_shapes` order."""
+        offset = 0
         for name, shape, kind in parameter_shapes(self.config):
-            if kind == "zeros":
-                arr = np.zeros(shape, dtype=dt)
-            elif kind == "ones":
-                arr = np.ones(shape, dtype=dt)
-            else:
-                fan_in = shape[0] if len(shape) == 1 else int(np.prod(shape[:-1]))
-                arr = (self._rng.standard_normal(shape) / math.sqrt(max(fan_in, 1))).astype(dt)
+            size = math.prod(shape)
+            yield name, kind, flat[offset : offset + size].reshape(shape)
+            offset += size
+
+    def _build(self):
+        self.flat = np.zeros(parameter_count_for(self.config), dtype=self.config.np_dtype)
+        for name, kind, arr in self._split(self.flat):
+            if kind == "ones":
+                arr[...] = 1.0
+            elif kind == "linear":
+                fan_in = arr.shape[0] if arr.ndim == 1 else math.prod(arr.shape[:-1])
+                arr[...] = self._rng.standard_normal(arr.shape) / math.sqrt(max(fan_in, 1))
             self.params[name] = Tensor(arr, requires_grad=True)
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+        """Zero every parameter gradient. The first call allocates `flat_grad`
+        and binds its views as the gradients, into which backward adds."""
+        if self.flat_grad is None:
+            self.flat_grad = np.zeros_like(self.flat)
+            for name, _, view in self._split(self.flat_grad):
+                self.params[name].grad = view
+        else:
+            self.flat_grad.fill(0)
 
     def state_arrays(self) -> dict:
         return {k: p.data for k, p in self.params.items()}
@@ -233,8 +250,7 @@ class Model:
             a = np.asarray(arrays[k], dtype=self.config.np_dtype)
             if a.shape != p.data.shape:
                 raise ValueError(f"tensor {k!r}: checkpoint shape {a.shape} != model {p.data.shape}")
-            # copy so in-place optimizer updates never mutate the caller's arrays
-            p.data = np.array(a, dtype=self.config.np_dtype)
+            p.data[...] = a  # a copy: optimizer updates never mutate the caller's arrays
 
     # -- building blocks ----------------------------------------------------
 

@@ -120,7 +120,7 @@ def _accum(t, g):
     if t.grad is None:
         t.grad = np.array(g)
     else:
-        t.grad = t.grad + g
+        t.grad += g  # in place: a parameter's gradient is a view of Model.flat_grad
 
 
 def _unbroadcast(g, shape):

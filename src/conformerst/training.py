@@ -7,6 +7,9 @@ over right-padded prefixes, both CTC heads) and one batched loss. The
 optimizer objective is still the plain sum of per-utterance losses;
 gradients are divided by the utterance count only at the optimizer step,
 which makes gradient accumulation exactly equivalent to one large batch.
+The optimizer step works on the model's two flat arrays: backward adds every
+parameter's gradient into its view of `Model.flat_grad`, which is scaled,
+clipped by its global norm and applied to `Model.flat` by AdamW in place.
 Dropout masks are drawn per utterance from a generator keyed by the model's
 dropout stream at the step and the utterance index, at the utterance's
 unpadded extent, so they do not depend on which utterances share a batch.
@@ -18,7 +21,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .evaluation import perplexity
 from .frontend import FeatureCache
 from .losses import BatchOutputs, LossWeights, combined_loss, loss_total
 from .model import NUM_FEATURES, Model, load_checkpoint, save_checkpoint
-from .textproc import encode, encode_text
+from .textproc import encode, encode_text, task_fields
 from . import numcore as nc
 
 STAGES = ("ASR-pretrain", "ASR+ST")
@@ -80,50 +83,48 @@ class OptimizerConfig:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a dict of named numpy arrays.
+    """Decoupled-weight-decay Adam (Loshchilov & Hutter, ICLR 2019) over one
+    flat parameter array, updated in place.
 
-    Decay shrinks the parameter before the Adam delta is applied. A step
-    whose gradients contain non-finite values is skipped entirely: the
-    counter increments and moments/step count stay untouched.
+    Decay shrinks the parameters before the Adam delta is applied. The
+    moments `m` and `v` are flat arrays like the parameters, created at the
+    first applied step. A step whose gradient contains non-finite values is
+    skipped entirely: `skipped` increments and the moments and step count `t`
+    stay untouched.
     """
 
     def __init__(self, opt: OptimizerConfig | None = None):
         self.opt = opt or OptimizerConfig()
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = self.v = None
         self.t = 0
         self.skipped = 0
 
-    def step(self, params: dict, grads: dict, lr: float) -> bool:
-        if any(not np.all(np.isfinite(g)) for g in grads.values()):
+    def step(self, p: np.ndarray, g: np.ndarray, lr: float) -> bool:
+        if not np.all(np.isfinite(g)):
             self.skipped += 1
             return False
         o = self.opt
+        if self.m is None:
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
         self.t += 1
         bc1 = 1.0 - o.beta1**self.t
         bc2 = 1.0 - o.beta2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            self.m[name] = o.beta1 * self.m[name] + (1 - o.beta1) * g
-            self.v[name] = o.beta2 * self.v[name] + (1 - o.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p *= 1.0 - lr * o.weight_decay
-            p -= lr * m_hat / (np.sqrt(v_hat) + o.eps)
+        self.m *= o.beta1
+        self.m += (1 - o.beta1) * g
+        self.v *= o.beta2
+        self.v += (1 - o.beta2) * g * g
+        p *= 1.0 - lr * o.weight_decay
+        p -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + o.eps)
         return True
 
 
-def clip_grad_norm(grads: dict, max_norm: float = 10.0) -> float:
-    """Scales grads in place to global L2 norm `max_norm`; returns the
-    pre-clip norm."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_grad_norm(g: np.ndarray, max_norm: float = 10.0) -> float:
+    """Scales the flat gradient `g` in place to L2 norm `max_norm` when it is
+    larger; returns the pre-clip norm, accumulated in float64."""
+    g64 = g.astype(np.float64)
+    total = math.sqrt(float((g64 * g64).sum()))
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        g *= max_norm / total
     return total
 
 
@@ -224,13 +225,7 @@ def forward_batch(model, vocab, entries, feats, task: str):
     which the length masks and the causal mask keep out of every valid
     position.
     """
-    texts, langs = [], []
-    for e in entries:
-        text = e.transcript if task == "ASR" else e.translation
-        if text is None:
-            raise ValueError(f"entry {e.audio} has no translation for ST")
-        texts.append(text)
-        langs.append(e.src_lang if task == "ASR" else e.tgt_lang)
+    texts, langs = zip(*(task_fields(e, task) for e in entries))
     b = len(entries)
     lengths = np.array([f.shape[0] for f in feats])
     x = np.zeros((b, lengths.max(), NUM_FEATURES))
@@ -258,8 +253,8 @@ def forward_batch(model, vocab, entries, feats, task: str):
 
 
 def _accumulate_batch(model, vocab, entries, feats, task, weights, rngs):
-    """Forward and backward of one micro-batch, adding its gradients to the
-    parameters (skipped when the objective is not finite). Returns
+    """Forward and backward of one micro-batch, adding its gradients into
+    `model.flat_grad` (skipped when the objective is not finite). Returns
     (LossBreakdown, encoder frames); the tape is freed on return."""
     with model.row_dropout(rngs):
         outs, srcs, tasks = forward_batch(model, vocab, entries, feats, task)
@@ -267,6 +262,10 @@ def _accumulate_batch(model, vocab, entries, feats, task, weights, rngs):
     if np.isfinite(objective.data):
         nc.backward(objective)
     return breakdown, int(outs.enc_lengths.sum())
+
+
+def _checkpoint_path(out_dir, step: int) -> str:
+    return os.path.join(out_dir, f"ckpt_{step:06d}.ckpt")
 
 
 def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
@@ -292,7 +291,7 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
     model.training = True
 
     def save(step):
-        path = os.path.join(out_dir, f"ckpt_{step:06d}.ckpt")
+        path = _checkpoint_path(out_dir, step)
         save_checkpoint(path, model.state_arrays(), model.config, step, stage_tag)
         return path
 
@@ -326,9 +325,8 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
                 breakdowns.append((breakdown, len(batch)))
                 n_utts += len(batch)
                 frames += batch_frames
-            grads = {n: (p.grad if p.grad is not None else np.zeros_like(p.data)) / n_utts
-                     for n, p in model.params.items()}
-            norm = clip_grad_norm(grads, cfg.clip_norm)
+            model.flat_grad /= n_utts
+            norm = clip_grad_norm(model.flat_grad, cfg.clip_norm)
             lr = cfg.lr_at(step)
             total_w = sum(n for _, n in breakdowns)
             record = {
@@ -349,8 +347,7 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
             )
             applied = np.isfinite(record["total"]) and np.isfinite(norm)
             if applied:
-                params = {n: p.data for n, p in model.params.items()}
-                applied = optimizer.step(params, grads, lr)
+                applied = optimizer.step(model.flat, model.flat_grad, lr)
             if not applied:
                 record["skipped"] = True
             record["wall_ms"] = (time.perf_counter() - t0) * 1000.0
@@ -411,37 +408,36 @@ def forgetting_probe(pretrained_path, train_entries, val_entries, vocab,
     """Runs short second-stage trainings from one pretrained checkpoint and
     tracks ASR/ST validation perplexity per (lr, p_asr) variant.
 
-    Returns a report dict and writes a plottable series file plus a text
-    table under `out_dir`.
+    Each variant is one `train_stage` run of `steps` steps that checkpoints
+    every `eval_interval` steps; the perplexities are read back from those
+    checkpoints. Returns a report dict and writes a plottable series file plus
+    a text table under `out_dir`.
     """
     val_entries = list(val_entries)
     if not val_entries:
         raise ValueError("forgetting_probe: empty validation set")
+    if eval_interval < 1 or steps < 0:
+        raise ValueError(f"forgetting_probe: need eval_interval >= 1 and steps >= 0, "
+                         f"got {eval_interval} and {steps}")
     os.makedirs(out_dir, exist_ok=True)
     cache = cache or FeatureCache()
     arrays, config, _, _ = load_checkpoint(pretrained_path)
+    marks = [*range(eval_interval, steps, eval_interval), steps] if steps else []
 
     runs = []
     for lr in lr_variants:
         for p_asr in p_asr_variants:
             model = Model(config, seed=seed)
             model.load_state(arrays)
-            start_asr = perplexity(model, vocab, val_entries, "ASR", cache)
-            start_st = perplexity(model, vocab, val_entries, "ST", cache)
-            series = {"lr": lr, "p_asr": p_asr, "steps": [0],
-                      "asr_ppl": [start_asr], "st_ppl": [start_st]}
-            done = 0
-            while done < steps:
-                chunk = min(eval_interval, steps - done)
-                cfg = StageConfig(stage="ASR+ST", schedule="constant", lr_const=lr,
-                                  p_asr=p_asr, max_steps=chunk,
-                                  batch_tokens=batch_tokens,
-                                  checkpoint_interval=max(chunk, 1),
-                                  seed=seed + done)
-                run_dir = os.path.join(out_dir, f"lr{lr:g}_p{p_asr:g}")
-                train_stage(train_entries, model, vocab, cfg, run_dir, cache=cache)
-                done += chunk
-                series["steps"].append(done)
+            cfg = StageConfig(stage="ASR+ST", schedule="constant", lr_const=lr, p_asr=p_asr,
+                              max_steps=steps, batch_tokens=batch_tokens,
+                              checkpoint_interval=eval_interval, seed=seed)
+            run_dir = os.path.join(out_dir, f"lr{lr:g}_p{p_asr:g}")
+            train_stage(train_entries, model, vocab, cfg, run_dir, cache=cache)
+            series = {"lr": lr, "p_asr": p_asr, "steps": [0] + marks, "asr_ppl": [], "st_ppl": []}
+            for step in series["steps"]:
+                model.load_state(load_checkpoint(_checkpoint_path(run_dir, step))[0] if step
+                                 else arrays)
                 series["asr_ppl"].append(perplexity(model, vocab, val_entries, "ASR", cache))
                 series["st_ppl"].append(perplexity(model, vocab, val_entries, "ST", cache))
             runs.append(series)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conformerst import numcore as nc
-from conformerst.decoding import DecodeConfig, beam_search, ctc_prefix_score
+from conformerst.decoding import DecodeConfig, beam_search
 from conformerst.evaluation import perplexity, wer, xrtf_bench
 from conformerst.frontend import (
     SAMPLE_RATE,
@@ -26,6 +26,7 @@ from conformerst.losses import (
     LossWeights,
     ctc_brute_force,
     ctc_feasible,
+    ctc_forward,
     ctc_loss,
     label_smoothed_ce,
     loss_total,
@@ -254,7 +255,7 @@ def test_criterion_07_decoding_invariants():
             logp = rand_logprobs(6, 4, rng)
             for target in ([1], [2, 1], [3, 2, 3]):
                 want = -float(ctc_loss(nc.tensor(logp), target).data)
-                assert abs(ctc_prefix_score(target, logp, complete=True) - want) <= 1e-9
+                assert abs(ctc_forward(logp, target) - want) <= 1e-9
 
 
 def test_criterion_08_padding_batch_invariance():

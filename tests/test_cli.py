@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -130,6 +131,24 @@ class TestErrors:
         with pytest.raises(SystemExit) as e:
             main(["synth-data", "--bogus", "1"])
         assert e.value.code != 0
+
+    def test_evaluate_st_without_translations(self, workspace, tmp_path, capsys):
+        root, manifest, vocab = workspace
+        out = tmp_path / "run0"
+        assert main(["train", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--out", str(out), "--steps", "0", *MODEL_FLAGS]) == 0
+        entries = [dataclasses.replace(e, translation=None, tgt_lang=None)
+                   for e in load_manifest(manifest)]
+        bare = tmp_path / "asr_only.jsonl"
+        save_manifest(entries, bare)
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text("".join(json.dumps({"hyp": "ab"}) + "\n" for _ in entries))
+        capsys.readouterr()
+        assert main(["evaluate", "--manifest", str(bare), "--vocab", str(vocab),
+                     "--checkpoint", str(out / "ckpt_000000.ckpt"), "--task", "ST",
+                     "--hyps", str(hyps)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no translation" in err
 
     def test_output_dir_env_var(self, workspace, tmp_path, monkeypatch):
         root, manifest, vocab = workspace

@@ -1,9 +1,5 @@
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conformerst.decoding import (
     DecodeConfig,
@@ -11,13 +7,12 @@ from conformerst.decoding import (
     banned_ngram_tokens,
     beam_search,
     combined_score,
-    ctc_prefix_score,
     decode_entries,
     greedy_ctc,
     joint_rescore,
 )
-from conformerst.losses import ctc_loss
-from conformerst.model import Model, ModelConfig
+from conformerst.losses import ctc_forward, ctc_loss
+from conformerst.model import DecoderState, Model, ModelConfig
 from conformerst import numcore as nc
 from conformerst.textproc import ManifestEntry, build_vocab
 
@@ -28,68 +23,19 @@ def rand_logprobs(t, v, seed=0):
     return x - np.log(np.exp(x).sum(axis=1, keepdims=True))
 
 
-def collapse(path, blank=0):
-    out, prev = [], None
-    for p in path:
-        if p != prev and p != blank:
-            out.append(p)
-        prev = p
-    return out
-
-
-def prefix_mass_oracle(prefix, logp, blank=0):
-    """Enumerate every frame labeling; sum those collapsing to prefix+..."""
-    t, v = logp.shape
-    prefix = list(prefix)
-    total = -np.inf
-    for path in itertools.product(range(v), repeat=t):
-        if collapse(path, blank)[: len(prefix)] == prefix:
-            total = np.logaddexp(total, sum(logp[i, p] for i, p in enumerate(path)))
-    return total
-
-
 class TestCtcPrefixScore:
-    def test_empty_prefix_is_zero(self):
-        assert ctc_prefix_score([], rand_logprobs(4, 3)) == 0.0
+    """CTC score of a complete hypothesis, as joint rescoring uses it."""
 
     def test_infeasible_repeat(self):
-        # "aa" needs at least 3 frames (a blank a); one frame cannot carry it
-        assert ctc_prefix_score([1, 1], rand_logprobs(1, 3)) == -np.inf
-        assert ctc_prefix_score([1, 1], rand_logprobs(2, 3)) == -np.inf
+        # "aa" needs at least 3 frames (a blank a); one or two cannot carry it
+        assert ctc_forward(rand_logprobs(1, 3), [1, 1]) == -np.inf
+        assert ctc_forward(rand_logprobs(2, 3), [1, 1]) == -np.inf
 
     def test_complete_matches_negated_ctc_loss(self):
         logp = rand_logprobs(6, 4, seed=1)
         for target in ([1], [2, 1], [1, 1], [3, 2, 3]):
             want = -float(ctc_loss(nc.tensor(logp), target).data)
-            got = ctc_prefix_score(target, logp, complete=True)
-            assert abs(got - want) <= 1e-9
-
-    def test_incomplete_matches_enumeration_oracle(self):
-        logp = rand_logprobs(4, 3, seed=2)
-        for prefix in ([1], [2], [1, 2], [2, 2], [1, 2, 1]):
-            want = prefix_mass_oracle(prefix, logp)
-            got = ctc_prefix_score(prefix, logp)
-            if not np.isfinite(want):
-                assert not np.isfinite(got)
-            else:
-                assert abs(got - want) <= 1e-9, prefix
-
-    def test_first_label_masses_partition_unity(self):
-        logp = rand_logprobs(5, 4, seed=3)
-        masses = [np.exp(ctc_prefix_score([k], logp)) for k in range(1, 4)]
-        empty = np.exp(ctc_prefix_score([], logp, complete=True))
-        assert abs(sum(masses) + empty - 1.0) <= 1e-9
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 3))
-    def test_prefix_mass_bounds_exact_sequence(self, seed, plen):
-        logp = rand_logprobs(6, 4, seed=seed)
-        rng = np.random.default_rng(seed + 1)
-        prefix = list(rng.integers(1, 4, size=plen))
-        inc = ctc_prefix_score(prefix, logp)
-        com = ctc_prefix_score(prefix, logp, complete=True)
-        assert inc <= 1e-12
-        assert com <= inc + 1e-9  # extensions only add probability mass
+            assert abs(ctc_forward(logp, target) - want) <= 1e-9
 
 
 class TestGreedyCtc:
@@ -207,6 +153,22 @@ class TestBeamSearch:
         norm = [h.attn_logp / max(len(h.tokens) - 2, 1) for h in hyps]
         assert norm == sorted(norm, reverse=True)
         assert all(h.score == pytest.approx(s) for h, s in zip(hyps, norm))
+
+    def test_reorder_shortcut_keeps_hypotheses(self, monkeypatch):
+        model, vocab, enc = make_setup(seed=2)
+        cfgs = [DecodeConfig(beam=1, ctc_weight=0.0, no_repeat_ngram=0), DecodeConfig()]
+
+        def decode_all():
+            return [[h.tokens for h in beam_search(model, vocab, enc, "en", c)] for c in cfgs]
+
+        got = decode_all()
+
+        def copy_rows(state, parent_rows):  # reorder without the identity shortcut
+            rows = np.asarray(parent_rows, dtype=np.int64)
+            state.self_kv = [tuple(nc.Tensor(t.data[rows]) for t in kv) for kv in state.self_kv]
+
+        monkeypatch.setattr(DecoderState, "reorder", copy_rows)
+        assert got == decode_all()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="beam"):

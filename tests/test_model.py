@@ -181,6 +181,17 @@ class TestIncrementalDecode:
                     st.reorder(parents[k])
                     rows = [rows[i] for i in parents[k]]
 
+    def test_identity_reorder_copies_nothing(self):
+        m, enc = self.setup_model()
+        with nc.no_grad():
+            st = m.decoder_state(enc)
+            m.decode_step(enc, [[3, 5], [3, 6]], state=st)
+            before = [t for kv in st.self_kv for t in kv]
+            st.reorder([0, 1])
+            assert all(a is b for a, b in zip(before, [t for kv in st.self_kv for t in kv]))
+            st.reorder([0])  # the leading rows alone are not the identity
+            assert all(t.shape[0] == 1 for kv in st.self_kv for t in kv)
+
     def test_state_rejected_in_training(self):
         m, enc = self.setup_model()
         st = m.decoder_state(enc)

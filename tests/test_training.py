@@ -66,59 +66,96 @@ class TestPiecewiseNoam:
 class TestAdamW:
     def test_first_step_hand_value(self):
         opt = AdamW(OptimizerConfig())
-        params = {"w": np.array([1.0])}
-        opt.step(params, {"w": np.array([1.0])}, lr=0.1)
+        p = np.array([1.0])
+        opt.step(p, np.array([1.0]), lr=0.1)
         # theta' = 1*(1 - 0.1*0.001) - 0.1 * m_hat/(sqrt(v_hat)+eps), m_hat=v_hat=1
         want = 1.0 * (1 - 0.1 * 0.001) - 0.1 * (1.0 / (1.0 + 1e-8))
-        assert abs(params["w"][0] - want) <= 1e-12
+        assert abs(p[0] - want) <= 1e-12
 
     def test_zero_grad_zero_decay_is_identity(self):
         opt = AdamW(OptimizerConfig(weight_decay=0.0))
-        params = {"w": np.array([1.5, -2.0])}
-        opt.step(params, {"w": np.zeros(2)}, lr=0.1)
-        assert np.array_equal(params["w"], [1.5, -2.0])
+        p = np.array([1.5, -2.0])
+        opt.step(p, np.zeros(2), lr=0.1)
+        assert np.array_equal(p, [1.5, -2.0])
 
     def test_nonfinite_grads_skip_without_state_damage(self):
         opt = AdamW()
-        params = {"w": np.array([1.0])}
-        opt.step(params, {"w": np.array([0.5])}, lr=0.01)
-        snap = (params["w"].copy(), opt.m["w"].copy(), opt.v["w"].copy(), opt.t)
-        applied = opt.step(params, {"w": np.array([np.nan])}, lr=0.01)
+        p = np.array([1.0])
+        opt.step(p, np.array([0.5]), lr=0.01)
+        snap = (p.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+        applied = opt.step(p, np.array([np.nan]), lr=0.01)
         assert not applied and opt.skipped == 1
-        assert np.array_equal(params["w"], snap[0])
-        assert np.array_equal(opt.m["w"], snap[1])
-        assert np.array_equal(opt.v["w"], snap[2])
+        assert np.array_equal(p, snap[0])
+        assert np.array_equal(opt.m, snap[1])
+        assert np.array_equal(opt.v, snap[2])
         assert opt.t == snap[3]
 
     def test_deterministic(self):
         runs = []
         for _ in range(2):
             opt = AdamW()
-            params = {"w": np.linspace(-1, 1, 5)}
+            p = np.linspace(-1, 1, 5)
             rng = np.random.default_rng(0)
             for _ in range(10):
-                opt.step(params, {"w": rng.standard_normal(5)}, lr=0.01)
-            runs.append(params["w"])
+                opt.step(p, rng.standard_normal(5), lr=0.01)
+            runs.append(p)
         assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_update_matches_per_array_reference(self, dtype):
+        """The flat update is bit-identical to the per-array formula."""
+        o = OptimizerConfig()
+        shapes = [(3, 4), (4,), (2, 3, 5), (1,)]
+        sizes = [math.prod(s) for s in shapes]
+        cuts = np.cumsum(sizes)[:-1]
+        rng = np.random.default_rng(4)
+        flat = rng.standard_normal(sum(sizes)).astype(dtype)
+        ref = [a.reshape(s).copy() for a, s in zip(np.split(flat, cuts), shapes)]
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        ref_t = 0
+        opt = AdamW(o)
+        for step in range(6):
+            g = (rng.standard_normal(flat.size) * 3).astype(dtype)
+            if step == 2:
+                g[5] = np.inf
+            lr = 1e-3 * (step + 1)
+            gs = [a.reshape(s) for a, s in zip(np.split(g, cuts), shapes)]
+            if all(np.all(np.isfinite(x)) for x in gs):
+                ref_t += 1
+                bc1 = 1.0 - o.beta1**ref_t
+                bc2 = 1.0 - o.beta2**ref_t
+                for i, x in enumerate(gs):
+                    ref_m[i] = o.beta1 * ref_m[i] + (1 - o.beta1) * x
+                    ref_v[i] = o.beta2 * ref_v[i] + (1 - o.beta2) * x * x
+                    m_hat = ref_m[i] / bc1
+                    v_hat = ref_v[i] / bc2
+                    ref[i] *= 1.0 - lr * o.weight_decay
+                    ref[i] -= lr * m_hat / (np.sqrt(v_hat) + o.eps)
+            assert opt.step(flat, g, lr) == (step != 2)
+            assert flat.dtype == dtype and opt.m.dtype == dtype
+            assert np.array_equal(flat, np.concatenate([a.ravel() for a in ref]))
+            assert np.array_equal(opt.m, np.concatenate([a.ravel() for a in ref_m]))
+            assert np.array_equal(opt.v, np.concatenate([a.ravel() for a in ref_v]))
+        assert opt.t == ref_t == 5 and opt.skipped == 1
 
 
 class TestClip:
     def test_scales_large_norm(self):
-        g = {"a": np.array([12.0]), "b": np.array([16.0])}  # norm 20
+        g = np.array([12.0, 16.0])  # norm 20
         norm = clip_grad_norm(g, 10.0)
         assert norm == pytest.approx(20.0)
-        new = math.sqrt(sum(float((x * x).sum()) for x in g.values()))
-        assert new == pytest.approx(10.0)
+        assert math.sqrt(float((g * g).sum())) == pytest.approx(10.0)
 
     def test_small_norm_unchanged(self):
-        g = {"a": np.array([3.0, 4.0])}  # norm 5
+        g = np.array([3.0, 4.0])  # norm 5
         assert clip_grad_norm(g, 10.0) == pytest.approx(5.0)
-        assert np.array_equal(g["a"], [3.0, 4.0])
+        assert np.array_equal(g, [3.0, 4.0])
 
     def test_zero_grads(self):
-        g = {"a": np.zeros(3)}
+        g = np.zeros(3)
         assert clip_grad_norm(g, 10.0) == 0.0
-        assert np.array_equal(g["a"], np.zeros(3))
+        assert np.array_equal(g, np.zeros(3))
 
 
 class TestSampleTask:
@@ -221,6 +258,53 @@ class TestTrainStage:
         batches = make_batches(entries, 2 * per_utt, cache)
         assert all(len(b) == 2 for b in batches)
         assert sorted(i for b in batches for i in b) == list(range(len(entries)))
+
+
+def assert_views(model, attr, flat):
+    """Each parameter's `attr` array is exactly its slice of `flat`, in registry order."""
+    offset = 0
+    for name, p in model.params.items():
+        arr = getattr(p, attr)
+        end = offset + arr.size
+        assert np.shares_memory(arr, flat[offset:end]), name
+        assert not np.shares_memory(arr, flat[:offset]), name
+        assert not np.shares_memory(arr, flat[end:]), name
+        offset = end
+    assert offset == flat.size
+
+
+class TestFlatArrays:
+    def test_parameters_and_gradients_are_views(self, corpus, tmp_path):
+        entries, vocab = corpus
+        model = tiny_model(vocab, seed=2)
+        assert_views(model, "data", model.flat)
+        model.load_state({n: a + 1.0 for n, a in tiny_model(vocab, seed=3).state_arrays().items()})
+        assert_views(model, "data", model.flat)
+        assert model.flat_grad is None
+        model.zero_grad()
+        assert_views(model, "grad", model.flat_grad)
+        assert not model.flat_grad.any()
+        cfg = StageConfig(max_steps=3, batch_tokens=40, checkpoint_interval=100, seed=1)
+        train_stage(entries, model, vocab, cfg, tmp_path)
+        assert_views(model, "data", model.flat)
+        assert_views(model, "grad", model.flat_grad)
+        assert model.flat_grad.any()
+
+    def test_gradient_memory_waits_for_zero_grad(self, corpus):
+        entries, vocab = corpus
+        model = tiny_model(vocab, dropout=0.0)
+        cache = FeatureCache()
+        outs, srcs, tasks = forward_batch(model, vocab, entries[:2],
+                                          [cache(e) for e in entries[:2]], "ASR")
+        nc.backward(combined_loss(outs, srcs, tasks, "ASR", LossWeights())[1])
+        assert model.flat_grad is None
+        stray = model.params["ctc.src.w"].grad
+        model.zero_grad()
+        grad = model.flat_grad
+        assert not grad.any() and model.params["ctc.src.w"].grad is not stray
+        grad += 1.0
+        model.zero_grad()
+        assert model.flat_grad is grad and not grad.any()
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +466,39 @@ class TestForgettingProbe:
         assert all(p >= 1.0 for p in run["asr_ppl"] + run["st_ppl"])
         assert (tmp_path / "probe" / "probe_series.jsonl").exists()
         assert "asr_ppl_T" in report["table"]
+
+    def test_one_run_per_variant(self, corpus, tmp_path):
+        """Evaluating every 2 steps does not change the training: the final
+        checkpoint is the one a plain 6-step second stage writes."""
+        entries, vocab = corpus
+        model = tiny_model(vocab, seed=4)
+        ckpt = tmp_path / "pre.ckpt"
+        save_checkpoint(ckpt, model.state_arrays(), model.config, 0, "ASR-pretrain")
+        finals = []
+        for interval in (2, 6):
+            out = tmp_path / f"probe{interval}"
+            report = forgetting_probe(ckpt, entries, entries, vocab, [1e-3], [0.5], steps=6,
+                                      out_dir=out, eval_interval=interval, batch_tokens=40,
+                                      seed=9)
+            assert report["runs"][0]["steps"] == list(range(0, 7, interval))
+            finals.append((out / "lr0.001_p0.5" / "ckpt_000006.ckpt").read_bytes())
+        plain = Model(model.config, seed=9)
+        plain.load_state(load_checkpoint(ckpt)[0])
+        cfg = StageConfig(stage="ASR+ST", schedule="constant", lr_const=1e-3, p_asr=0.5,
+                          max_steps=6, batch_tokens=40, seed=9)
+        final, _ = train_stage(entries, plain, vocab, cfg, tmp_path / "plain")
+        finals.append(open(final, "rb").read())
+        assert finals[0] == finals[1] == finals[2]
+
+    def test_bad_interval_or_steps_rejected(self, corpus, tmp_path):
+        entries, vocab = corpus
+        model = tiny_model(vocab)
+        ckpt = tmp_path / "pre.ckpt"
+        save_checkpoint(ckpt, model.state_arrays(), model.config, 0, "ASR-pretrain")
+        for steps, interval in ((2, 0), (2, -1), (-1, 1)):
+            with pytest.raises(ValueError, match="eval_interval >= 1 and steps >= 0"):
+                forgetting_probe(ckpt, entries, entries, vocab, [1e-4], [0.5], steps,
+                                 tmp_path / "p", eval_interval=interval)
 
     def test_empty_validation_rejected(self, corpus, tmp_path):
         entries, vocab = corpus
