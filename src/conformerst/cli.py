@@ -93,8 +93,10 @@ def cmd_synth_data(ns):
 
 def cmd_filter(ns):
     entries = load_manifest(_require(ns.manifest, "manifest"))
-    bounds = FilterBounds(ns.rmin, ns.rmax, ns.direction)
-    kept, report = ratio_filter(entries, bounds)
+    default = DEFAULT_BOUNDS[ns.direction]
+    ns.rmin = default.r_min if ns.rmin is None else ns.rmin
+    ns.rmax = default.r_max if ns.rmax is None else ns.rmax
+    kept, report = ratio_filter(entries, FilterBounds(ns.rmin, ns.rmax))
     os.makedirs(os.path.dirname(os.path.abspath(ns.out)), exist_ok=True)
     save_manifest(kept, ns.out)
     _write_provenance(os.path.dirname(os.path.abspath(ns.out)), ns)
@@ -241,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="drop entries with outlier length ratios")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=os.path.join(_default_out(), "filtered.jsonl"))
-    p.add_argument("--rmin", type=float, default=DEFAULT_BOUNDS["en-it"].r_min)
-    p.add_argument("--rmax", type=float, default=DEFAULT_BOUNDS["en-it"].r_max)
+    p.add_argument("--rmin", type=float, help="default: the direction's bound")
+    p.add_argument("--rmax", type=float, help="default: the direction's bound")
     p.add_argument("--direction", default="en-it", choices=sorted(DEFAULT_BOUNDS))
     p.set_defaults(func=cmd_filter)
 

@@ -1,12 +1,13 @@
 """Attention beam search with unknown-token penalty, no-repeat n-gram
-blocking, and joint CTC rescoring of completed hypotheses; the one decode
-loop over manifest entries; plus a greedy CTC diagnostic decoder.
+blocking, and joint CTC rescoring of completed hypotheses; and the one
+decode loop over manifest entries.
 
 The beam search decodes incrementally: it feeds `[bos, lang]` once and then
 only each beam's newest token to `Model.decode_step`, whose state keeps every
 decoder layer's self-attention keys and values and projects the
 cross-attention keys and values once per utterance. Each step scores all
-beams' continuations in one beams x V array.
+beams' continuations in one beams x V array. Every search finishes through
+`joint_rescore`, which skips the CTC lattice at CTC weight 0.
 
 Decoding has no RNG: identical inputs and config produce identical outputs.
 """
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import numcore as nc
 from .losses import ctc_lattice
+from .textproc import LANGS, task_fields
 from .textproc import decode as decode_ids
-from .textproc import task_fields
 
 NEG_INF = -np.inf
 
@@ -68,35 +69,23 @@ def banned_ngram_tokens(tokens, n: int):
     return banned
 
 
-def _norm(score: float, hyp_len: int, normalize: bool) -> float:
+def combined_score(attn_logp: float, ctc_logp: float, w: float, hyp_len: int, normalize: bool) -> float:
+    score = (1.0 - w) * attn_logp + w * ctc_logp
     return score / max(hyp_len, 1) if normalize else score
 
 
-def combined_score(attn_logp: float, ctc_logp: float, w: float, hyp_len: int, normalize: bool) -> float:
-    return _norm((1.0 - w) * attn_logp + w * ctc_logp, hyp_len, normalize)
-
-
-def greedy_ctc(ctc_logprobs: np.ndarray, blank: int = 0) -> list:
-    """Best-path decode: per-frame argmax, collapse repeats, drop blanks."""
-    path = np.asarray(ctc_logprobs).argmax(axis=-1)
-    out = []
-    prev = None
-    for p in path:
-        p = int(p)
-        if p != prev and p != blank:
-            out.append(p)
-        prev = p
-    return out
-
-
-def joint_rescore(hyps, ctc_logprobs: np.ndarray, w: float, vocab, normalize: bool = True):
+def joint_rescore(hyps, ctc_logprobs, w: float, vocab, normalize: bool = True):
     """Rerank finished hypotheses by (1-w)*attention + w*CTC sequence score;
-    all hypotheses are scored in one lattice."""
-    logp = np.asarray(ctc_logprobs)
-    rows = len(hyps)
-    scores = ctc_lattice(np.broadcast_to(logp, (rows,) + logp.shape),
-                         [h.text_tokens(vocab) for h in hyps], [logp.shape[0]] * rows,
-                         vocab.blank_id).log_p
+    all hypotheses are scored in one lattice. At w = 0 no lattice is built
+    and every CTC score is 0, so `ctc_logprobs` is not read."""
+    if w > 0.0:
+        logp = np.asarray(ctc_logprobs)
+        rows = len(hyps)
+        scores = ctc_lattice(np.broadcast_to(logp, (rows,) + logp.shape),
+                             [h.text_tokens(vocab) for h in hyps], [logp.shape[0]] * rows,
+                             vocab.blank_id).log_p
+    else:
+        scores = [0.0] * len(hyps)
     for h, ctc_logp in zip(hyps, scores):
         h.ctc_logp = float(ctc_logp)
         h.score = combined_score(h.attn_logp, h.ctc_logp, w, len(h.tokens) - 2, normalize)
@@ -109,8 +98,7 @@ def beam_search(model, vocab, enc, tgt_lang: str, cfg: DecodeConfig):
         raise ValueError(f"beam_search decodes one utterance; got an encoder batch of "
                          f"{enc.states.shape[0]} (slice one row)")
     start = [vocab.bos_id, vocab.lang_id(tgt_lang)]
-    never = [vocab.blank_id, vocab.pad_id, vocab.bos_id,
-             vocab.lang_id("en"), vocab.lang_id("it")]
+    never = [vocab.blank_id, vocab.pad_id, vocab.bos_id] + [vocab.lang_id(lang) for lang in LANGS]
     max_len = int(enc.lengths[0] * cfg.max_len_factor) + 10
     beams = [Hypothesis(tokens=list(start))]
     finished = []
@@ -156,12 +144,7 @@ def beam_search(model, vocab, enc, tgt_lang: str, cfg: DecodeConfig):
         if not finished:
             for b in beams:
                 finished.append(Hypothesis(tokens=b.tokens + [vocab.eos_id], attn_logp=b.attn_logp))
-    if cfg.ctc_weight > 0.0:
-        return joint_rescore(finished, ctc_logprobs, cfg.ctc_weight, vocab, cfg.length_normalize)
-    for h in finished:
-        h.ctc_logp = 0.0
-        h.score = combined_score(h.attn_logp, 0.0, 0.0, len(h.tokens) - 2, cfg.length_normalize)
-    return sorted(finished, key=lambda h: h.score, reverse=True)
+    return joint_rescore(finished, ctc_logprobs, cfg.ctc_weight, vocab, cfg.length_normalize)
 
 
 def decode_entries(model, vocab, entries, cache, cfg: DecodeConfig, task: str) -> list:

@@ -22,8 +22,6 @@ class EvalReport:
     deletions: int = 0
     insertions: int = 0
     ref_words: int = 0
-    ppl_asr: float | None = None
-    ppl_st: float | None = None
     xrtf: float | None = None
     audio_seconds: float = 0.0
     compute_seconds: float = 0.0
@@ -125,6 +123,8 @@ def xrtf_bench(model, vocab, entries, cache: FeatureCache, batch_size: int = 1,
     entries = list(entries)
     if not entries:
         raise ValueError("xrtf_bench: empty manifest")
+    if batch_size < 1:
+        raise ValueError(f"xrtf_bench: batch_size must be at least 1, got {batch_size}")
     cfg = cfg or DecodeConfig()
     # audio is read before the clock starts; features are extracted inside it
     waves = {entry.audio: frontend.read_wav(cache.resolve(entry)) for entry in entries}

@@ -5,6 +5,10 @@ Layout per encoder block is the macaron structure: half-FFN, self-attention,
 depthwise-conv module, half-FFN, final layernorm. The decoder is a pre-norm
 Transformer. Positional encoding is sinusoidal absolute, added after
 subsampling and after the decoder embedding.
+
+The decoder has one path, `decode_step` over a `DecoderState`: teacher forcing
+feeds whole sequences to a fresh state, incremental decoding feeds each row's
+next tokens to a state that it keeps.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name in ("enc_layers", "dec_layers", "d_model", "heads", "d_ffn", "conv_kernel"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.conv_kernel % 2 == 0:
+            raise ValueError(f"conv_kernel must be odd for 'same' padding, got {self.conv_kernel}")
         if self.enc_layers != 2 * self.dec_layers:
             raise ValueError(
                 f"encoder depth must be twice the decoder depth, got "
@@ -93,7 +102,7 @@ class DecoderState:
     made by `Model.decoder_state`, advanced by `Model.decode_step`."""
 
     cross_kv: list  # per layer (keys, values), encoder batch x H x T' x dh
-    pe: np.ndarray  # positional table, rows 0.. (grown on demand)
+    pe: np.ndarray  # positional table, rows 0..; starts empty, doubles on demand
     self_kv: list  # per layer (keys, values) of the positions fed so far, rows x H x pos x dh
     pos: int = 0  # positions fed so far
 
@@ -104,10 +113,6 @@ class DecoderState:
             return  # rows stay in order (always at beam 1): nothing to copy
         self.self_kv = [tuple(Tensor(t.data[rows]) for t in kv) for kv in self.self_kv]
 
-
-# decoder positions beyond the encoder frames covered by the first positional
-# table (beam search caps outputs at frames + 10 after [bos, lang])
-DECODER_PE_MARGIN = 16
 
 NUM_FEATURES = 80
 SUBSAMPLE_KERNEL = 5
@@ -381,7 +386,6 @@ class Model:
         h = nc.add(h, pe)
         h = self._dropout(h, sub_len)
         h = nc.mul(h, mask_mul)
-        tap_states = None
         for i in range(self.config.enc_layers):
             p = f"enc.{i}"
             h = nc.add(h, nc.scale(self._ffn(f"{p}.ffn1", h, sub_len), 0.5))
@@ -394,8 +398,6 @@ class Model:
             h = nc.mul(h, mask_mul)
             if i + 1 == self.config.tap_layer:
                 tap_states = h
-        if tap_states is None:  # tap beyond depth can only happen via bad config
-            tap_states = h
         return EncoderOutput(states=h, tap_states=tap_states, lengths=sub_len)
 
     def decoder_state(self, enc: EncoderOutput) -> DecoderState:
@@ -407,46 +409,44 @@ class Model:
         """
         return DecoderState(
             cross_kv=[self._kv(f"dec.{i}.cross", enc.states) for i in range(self.config.dec_layers)],
-            pe=sinusoidal_encoding(enc.states.shape[1] + DECODER_PE_MARGIN, self.config.d_model,
-                                   self.config.np_dtype),
+            pe=sinusoidal_encoding(0, self.config.d_model, self.config.np_dtype),
             self_kv=[None] * self.config.dec_layers,
         )
 
     def decode_step(self, enc: EncoderOutput, prefix, lengths=None, state=None) -> Tensor:
         """Decoder log-probs for every position of `prefix` (B x N x V).
 
-        Without `state` this is teacher forcing: `prefix` holds whole token
-        sequences from position 0. Rows may be right-padded to a common length;
-        `lengths` gives each row's valid positions (default: all N), and the
-        causal mask keeps the padding out of every valid position.
+        `prefix` holds the next N tokens of each row, at positions `state.pos`
+        onward. Only those positions are computed: they attend to the keys and
+        values the state holds for the earlier positions, and their own are
+        appended to it. Call `state.reorder` when rows are selected or
+        duplicated between steps. A state passed in (from `decoder_state`) is
+        for inference only.
 
-        With `state` (from `decoder_state`, inference only) `prefix` holds the
-        next N tokens of each row, at positions `state.pos` onward. Only those
-        positions are computed: they attend to the keys and values the state
-        holds for the earlier positions, and their own are appended to it.
-        Call `state.reorder` when rows are selected or duplicated between steps.
+        Without `state` this is teacher forcing: a fresh state, so `prefix`
+        holds whole token sequences from position 0. Rows may be right-padded
+        to a common length; `lengths` gives each row's valid positions
+        (default: all N), and the causal mask keeps the padding out of every
+        valid position.
         """
         prefix = np.asarray(prefix, dtype=np.int64)
         if prefix.ndim == 1:
             prefix = prefix[None, :]
         if prefix.shape[1] == 0:
             raise ValueError("decode_step: empty prefix (must start with [bos, lang])")
-        if state is not None and self.training:
+        if state is None:
+            state = self.decoder_state(enc)
+        elif self.training:
             raise ValueError("decode_step: an incremental state is for inference; "
                              "training runs teacher forcing (state=None)")
         b, n = prefix.shape
         lens = np.full(b, n) if lengths is None else np.asarray(lengths, dtype=np.int64)
         d = self.config.d_model
-        if state is None:
-            start = 0
-            pe = sinusoidal_encoding(n, d, self.config.np_dtype)
-        else:
-            start = state.pos
-            if state.pe.shape[0] < start + n:
-                state.pe = sinusoidal_encoding(2 * (start + n), d, self.config.np_dtype)
-            pe = state.pe[start : start + n]
+        start = state.pos
+        if state.pe.shape[0] < start + n:
+            state.pe = sinusoidal_encoding(2 * (start + n), d, self.config.np_dtype)
         h = nc.scale(nc.embedding(self._p("dec.embed"), prefix), math.sqrt(d))
-        h = nc.add(h, Tensor(pe))
+        h = nc.add(h, Tensor(state.pe[start : start + n]))
         h = self._dropout(h, lens)
         # query i sits at position start + i and sees keys up to it
         causal = (np.arange(start + n)[None, :] > np.arange(start, start + n)[:, None])[None, None]
@@ -456,19 +456,15 @@ class Model:
             p = f"dec.{i}"
             x = self._ln(f"{p}.self.ln", h)
             kv = self._kv(f"{p}.self", x)
-            if state is not None:
-                if state.self_kv[i] is not None:
-                    kv = tuple(nc.concat([old, new], axis=2)
-                               for old, new in zip(state.self_kv[i], kv))
-                state.self_kv[i] = kv
+            if state.self_kv[i] is not None:
+                kv = tuple(nc.concat([old, new], axis=2) for old, new in zip(state.self_kv[i], kv))
+            state.self_kv[i] = kv
             h = nc.add(h, self._dropout(self._mha(f"{p}.self", x, kv, causal, lens, lens), lens))
             x = self._ln(f"{p}.cross.ln", h)
-            cross_kv = self._kv(f"{p}.cross", enc.states) if state is None else state.cross_kv[i]
             h = nc.add(h, self._dropout(
-                self._mha(f"{p}.cross", x, cross_kv, cross_mask, lens, enc.lengths), lens))
+                self._mha(f"{p}.cross", x, state.cross_kv[i], cross_mask, lens, enc.lengths), lens))
             h = nc.add(h, self._ffn(f"{p}.ffn", h, lens))
-        if state is not None:
-            state.pos = start + n
+        state.pos = start + n
         h = self._ln("dec.final_ln", h)
         logits = self._linear("dec.out", h)
         return nc.log_softmax(logits)

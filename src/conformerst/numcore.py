@@ -267,17 +267,11 @@ def mean_(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+    if b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     data = np.matmul(a.data, b.data)
 
     def bw(g):
-        if b.ndim == 1:
-            ga = np.multiply.outer(g, b.data) if a.ndim > 1 else g * b.data
-            gb = np.tensordot(g, a.data, axes=(range(g.ndim), range(a.ndim - 1)))
-            _accum(a, ga.reshape(a.shape))
-            _accum(b, gb)
-            return
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         _accum(a, _unbroadcast(ga, a.shape))

@@ -198,7 +198,6 @@ def save_manifest(entries, path) -> None:
 class FilterBounds:
     r_min: float
     r_max: float
-    direction: str = "en-it"
 
     def __post_init__(self):
         if not 0 < self.r_min < self.r_max:
@@ -207,8 +206,8 @@ class FilterBounds:
 
 # character-ratio bounds per language pair (source/target length distributions)
 DEFAULT_BOUNDS = {
-    "en-it": FilterBounds(0.75, 1.45, "en-it"),
-    "it-en": FilterBounds(0.65, 1.35, "it-en"),
+    "en-it": FilterBounds(0.75, 1.45),
+    "it-en": FilterBounds(0.65, 1.35),
 }
 
 

@@ -121,6 +121,20 @@ class TestFilter:
         assert len(load_manifest(out)) == 9
         assert "removed 1" in capsys.readouterr().out
 
+    def test_default_bounds_follow_direction(self, tmp_path):
+        # ratio 1.4: inside en-it's [0.75, 1.45], outside it-en's [0.65, 1.35]
+        src = tmp_path / "m.jsonl"
+        save_manifest([ManifestEntry(audio="u.wav", duration_s=1.0, src_lang="it",
+                                     transcript="a" * 14, translation="a" * 10,
+                                     tgt_lang="en")], src)
+        for direction, kept, bounds in (("en-it", 1, [0.75, 1.45]), ("it-en", 0, [0.65, 1.35])):
+            out = tmp_path / direction / "filtered.jsonl"
+            assert main(["filter", "--manifest", str(src), "--out", str(out),
+                         "--direction", direction]) == 0
+            assert len(load_manifest(out)) == kept
+            rec = json.loads((out.parent / "run.json").read_text())
+            assert [rec["rmin"], rec["rmax"]] == bounds
+
 
 class TestErrors:
     def test_missing_manifest_names_path(self, capsys):
@@ -149,6 +163,26 @@ class TestErrors:
                      "--hyps", str(hyps)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no translation" in err
+
+    def test_train_zero_heads(self, workspace, tmp_path, capsys):
+        root, manifest, vocab = workspace
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--out", str(tmp_path), "--steps", "0", *MODEL_FLAGS, "--heads", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "heads" in err
+
+    def test_bench_zero_batch_size(self, workspace, tmp_path, capsys):
+        root, manifest, vocab = workspace
+        out = tmp_path / "run0"
+        assert main(["train", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--out", str(out), "--steps", "0", *MODEL_FLAGS]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--checkpoint", str(out / "ckpt_000000.ckpt"),
+                     "--batch-size", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "batch_size" in err
 
     def test_output_dir_env_var(self, workspace, tmp_path, monkeypatch):
         root, manifest, vocab = workspace

@@ -8,9 +8,9 @@ from conformerst.decoding import (
     beam_search,
     combined_score,
     decode_entries,
-    greedy_ctc,
     joint_rescore,
 )
+from conformerst import decoding
 from conformerst.losses import ctc_forward, ctc_loss
 from conformerst.model import DecoderState, Model, ModelConfig
 from conformerst import numcore as nc
@@ -21,6 +21,10 @@ def rand_logprobs(t, v, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((t, v))
     return x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+
+
+def no_ctc(*args, **kwargs):
+    raise AssertionError("CTC evaluated at CTC weight 0")
 
 
 class TestCtcPrefixScore:
@@ -36,23 +40,6 @@ class TestCtcPrefixScore:
         for target in ([1], [2, 1], [1, 1], [3, 2, 3]):
             want = -float(ctc_loss(nc.tensor(logp), target).data)
             assert abs(ctc_forward(logp, target) - want) <= 1e-9
-
-
-class TestGreedyCtc:
-    def test_collapse_and_deblank(self):
-        logp = np.log(np.array([
-            [0.1, 0.8, 0.1],
-            [0.1, 0.8, 0.1],
-            [0.8, 0.1, 0.1],
-            [0.1, 0.1, 0.8],
-            [0.1, 0.1, 0.8],
-        ]))
-        assert greedy_ctc(logp) == [1, 2]
-
-    def test_all_blank_is_empty(self):
-        logp = np.log(np.full((4, 3), 1e-3))
-        logp[:, 0] = np.log(0.998)
-        assert greedy_ctc(logp) == []
 
 
 class TestNgramBlocking:
@@ -147,8 +134,10 @@ class TestBeamSearch:
             want = sum(float(lp[1 + j, gen[j]]) for j in range(scored))
             assert abs(h.attn_logp - want) <= 1e-9
 
-    def test_zero_ctc_weight_preserves_attention_ranking(self):
+    def test_zero_ctc_weight_preserves_attention_ranking(self, monkeypatch):
         model, vocab, enc = make_setup(seed=4)
+        monkeypatch.setattr(model, "ctc_head", no_ctc)
+        monkeypatch.setattr(decoding, "ctc_lattice", no_ctc)
         hyps = beam_search(model, vocab, enc, "en", DecodeConfig(ctc_weight=0.0))
         norm = [h.attn_logp / max(len(h.tokens) - 2, 1) for h in hyps]
         assert norm == sorted(norm, reverse=True)
@@ -208,3 +197,13 @@ class TestJointRescore:
         for h in joint:
             want = combined_score(h.attn_logp, h.ctc_logp, 0.2, len(h.tokens) - 2, True)
             assert h.score == pytest.approx(want)
+
+    def test_zero_weight_builds_no_lattice(self, monkeypatch):
+        vocab = build_vocab(["ab"])
+        a, b = vocab.id("a"), vocab.id("b")
+        # 3 labels over 2 frames: CTC-infeasible (log-prob -inf), and 0 * -inf is nan
+        h = Hypothesis(tokens=[vocab.bos_id, vocab.lang_id("en"), a, b, a, vocab.eos_id],
+                       attn_logp=-1.5)
+        monkeypatch.setattr(decoding, "ctc_lattice", no_ctc)
+        [got] = joint_rescore([h], rand_logprobs(2, len(vocab)), 0.0, vocab)
+        assert got.ctc_logp == 0.0 and got.score == -1.5 / 4

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from conformerst.model import (
     subsampled_length,
     tap_layer_for,
 )
+
+# the decode benchmark's committed checkpoint
+FIXTURE_CKPT = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixture", "desk_st.ckpt")
 
 
 def desk_config(vocab=12, dtype="float32"):
@@ -39,6 +44,23 @@ class TestConfig:
     def test_heads_divide_dim(self):
         with pytest.raises(ValueError, match="divisible"):
             ModelConfig(vocab_size=10, enc_layers=4, dec_layers=2, d_model=30, heads=4)
+
+    @pytest.mark.parametrize("bad, match", [
+        (dict(enc_layers=-2, dec_layers=-1), "enc_layers"),
+        (dict(enc_layers=0, dec_layers=0), "enc_layers"),
+        (dict(d_model=0), "d_model"),
+        (dict(heads=0), "heads"),
+        (dict(d_ffn=0), "d_ffn"),
+        (dict(conv_kernel=0), "conv_kernel"),
+        (dict(conv_kernel=4), "odd"),
+    ])
+    def test_bad_sizes_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            ModelConfig(**{**dict(vocab_size=10, enc_layers=4, dec_layers=2), **bad})
+
+    def test_fixture_checkpoint_config_loads(self):
+        arrays, config, _, _ = load_checkpoint(FIXTURE_CKPT)
+        Model(config).load_state(arrays)
 
     def test_reference_small_parameter_count(self):
         count = parameter_count_for(small_config(16000))
@@ -149,11 +171,12 @@ class TestIncrementalDecode:
 
     def setup_model(self):
         m = Model(desk_config(dtype="float64"), seed=4)
-        return m, m.encode(features(40, seed=9), [40])  # 10 frames: a 26-position table
+        return m, m.encode(features(40, seed=9), [40])
 
     def test_every_position_matches_full_prefix(self):
         m, enc = self.setup_model()
-        # 30 positions: beyond the state's first positional table
+        # 30 positions: the state's positional table, empty at first, doubles
+        # four times (to 4, 10, 22 and 46 rows)
         tokens = [3, 5] + np.random.default_rng(1).integers(7, 12, size=28).tolist()
         with nc.no_grad():
             full = m.decode_step(enc, [tokens]).data
