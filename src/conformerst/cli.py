@@ -10,6 +10,7 @@ next to its outputs so it can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -123,21 +124,14 @@ def cmd_train(ns):
     vocab = Vocabulary.load(_require(ns.vocab, "vocabulary"))
     if ns.config is not None:
         cfg = load_stage_config(_require(ns.config, "stage config"))
+    elif ns.stage == 1:
+        cfg = StageConfig(stage="ASR-pretrain", schedule="noam", seed=ns.seed)
     else:
-        if ns.stage == 1:
-            cfg = StageConfig(stage="ASR-pretrain", schedule="noam", seed=ns.seed)
-        else:
-            cfg = StageConfig(stage="ASR+ST", schedule="constant", seed=ns.seed)
-    if ns.steps is not None:
-        cfg.max_steps = ns.steps
-    if ns.lr is not None:
-        cfg.lr_peak = cfg.lr_const = ns.lr
-    if ns.batch_tokens is not None:
-        cfg.batch_tokens = ns.batch_tokens
-    if ns.warmup is not None:
-        cfg.warmup_steps = ns.warmup
-    if ns.checkpoint_interval is not None:
-        cfg.checkpoint_interval = ns.checkpoint_interval
+        cfg = StageConfig(stage="ASR+ST", schedule="constant", seed=ns.seed)
+    overrides = {"max_steps": ns.steps, "lr_peak": ns.lr, "lr_const": ns.lr,
+                 "batch_tokens": ns.batch_tokens, "warmup_steps": ns.warmup,
+                 "checkpoint_interval": ns.checkpoint_interval}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     if ns.init_checkpoint is not None:
         model, _, _ = _load_model(ns.init_checkpoint, seed=ns.seed)

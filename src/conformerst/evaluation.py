@@ -17,18 +17,20 @@ from .textproc import encode, normalize_text, task_fields
 
 @dataclass
 class EvalReport:
+    """WER counts or xRTF timings; the fields a report does not measure stay None."""
+
     wer: float | None = None
-    substitutions: int = 0
-    deletions: int = 0
-    insertions: int = 0
-    ref_words: int = 0
+    substitutions: int | None = None
+    deletions: int | None = None
+    insertions: int | None = None
+    ref_words: int | None = None
     xrtf: float | None = None
-    audio_seconds: float = 0.0
-    compute_seconds: float = 0.0
-    batch_size: int = 0
+    audio_seconds: float | None = None
+    compute_seconds: float | None = None
+    batch_size: int | None = None
 
     def table(self) -> str:
-        rows = [(k, v) for k, v in vars(self).items() if v not in (None, 0, 0.0)]
+        rows = [(k, v) for k, v in vars(self).items() if v is not None]
         width = max((len(k) for k, _ in rows), default=1)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 

@@ -39,12 +39,12 @@ class LossWeights:
 
 @dataclass
 class LossBreakdown:
-    ce: float
-    ctc_src: float
-    ctc_tgt: float
-    total: float
-    token_count: int
-    per_utt: np.ndarray  # each utterance's weighted term of the objective
+    """Per-utterance terms of one padded batch, each an array over its utterances."""
+
+    ce: np.ndarray  # token-mean smoothed CE
+    ctc_src: np.ndarray  # intermediate-tap CTC loss over the transcript length
+    ctc_tgt: np.ndarray  # final-encoder CTC loss over the task target length
+    tokens: int  # decoder targets that are not padding
     ctc_infeasible: int  # CTC rows (both heads) whose target cannot fit the frames
 
 
@@ -225,58 +225,46 @@ def ctc_brute_force(logp: np.ndarray, target, blank: int = BLANK_ID) -> float:
 
 @dataclass
 class BatchOutputs:
-    """Model outputs of one padded batch entering the combined objective."""
+    """Model outputs of one padded batch and the references of the combined
+    objective."""
 
     dec_logprobs: Tensor  # B x N x V, teacher-forced next-token log-probs
     dec_targets: np.ndarray  # B x N target ids (shifted sequence), right-padded with pad_id
     ctc_src_logprobs: Tensor  # B x T' x V, intermediate-tap head
     ctc_tgt_logprobs: Tensor  # B x T' x V, final-encoder head
     enc_lengths: np.ndarray  # B valid encoder frames
-    pad_id: int | None = None  # dec_targets padding, excluded from the CE means
+    src_targets: list  # B transcript text-token ids (CTCsrc reference)
+    task_targets: list  # B task text-token ids: transcript for ASR, translation for ST
+    pad_id: int  # dec_targets padding, excluded from the CE means
 
 
-def combined_loss(outputs: BatchOutputs, src_targets, task_targets, task: str, weights: LossWeights):
+def combined_loss(outputs: BatchOutputs, weights: LossWeights):
     """Weighted sum of CE and the two CTC losses over a padded batch.
 
-    src_targets: per-utterance transcript text-token ids (CTCsrc reference);
-    task_targets: transcript ids for ASR, translation ids for ST (CE and
-    CTCtgt reference). Each utterance's term is lambda_ce times its own
-    token-mean CE plus each CTC loss divided by its target length; both CTC
-    heads go through one batched lattice.
+    Each utterance's term is lambda_ce times its own token-mean CE plus each
+    CTC loss divided by its target length; both CTC heads go through one
+    batched lattice.
 
     Returns (LossBreakdown, objective) where objective is the sum over
     utterances of per-utterance terms (divide its gradients by the
     utterance count; keeping it a plain sum makes gradient accumulation
     split-invariant).
     """
-    if task not in ("ASR", "ST"):
-        raise ValueError(f"unknown task {task!r}")
     n = len(outputs.enc_lengths)
-    if n == 0 or len(src_targets) != n or len(task_targets) != n:
-        raise ValueError("combined_loss: empty or mismatched batch lists")
-    if any(t is None for t in task_targets):
-        raise ValueError(f"combined_loss: missing target text for task {task}")
     ce = label_smoothed_ce(outputs.dec_logprobs, outputs.dec_targets, weights.smoothing,
                            outputs.pad_id)
-    targets = list(src_targets) + list(task_targets)
+    targets = list(outputs.src_targets) + list(outputs.task_targets)
     ctc = ctc_loss(nc.concat([outputs.ctc_src_logprobs, outputs.ctc_tgt_logprobs], axis=0),
                    targets, np.concatenate([outputs.enc_lengths, outputs.enc_lengths]))
     ctc = nc.mul(ctc, nc.tensor(np.array([1.0 / max(len(t), 1) for t in targets])))
     lambdas = np.repeat([weights.lambda_ctc_src, weights.lambda_ctc_tgt], n)
     objective = nc.add(nc.scale(nc.sum_(ce), weights.lambda_ce),
                        nc.sum_(nc.mul(ctc, nc.tensor(lambdas))))
-    ce_vals = ce.data.astype(np.float64)
-    src_vals, tgt_vals = ctc.data[:n], ctc.data[n:]
-    mean_ce, mean_src, mean_tgt = (sum(x.tolist()) / n for x in (ce_vals, src_vals, tgt_vals))
-    tokens = (outputs.dec_targets.size if outputs.pad_id is None
-              else int(np.sum(outputs.dec_targets != outputs.pad_id)))
     breakdown = LossBreakdown(
-        ce=mean_ce,
-        ctc_src=mean_src,
-        ctc_tgt=mean_tgt,
-        total=loss_total(weights, mean_ce, mean_src, mean_tgt),
-        token_count=tokens,
-        per_utt=loss_total(weights, ce_vals, src_vals, tgt_vals),
+        ce=ce.data.astype(np.float64),
+        ctc_src=ctc.data[:n],
+        ctc_tgt=ctc.data[n:],
+        tokens=int(np.sum(outputs.dec_targets != outputs.pad_id)),
         ctc_infeasible=int(np.isinf(ctc.data).sum()),
     )
     return breakdown, objective

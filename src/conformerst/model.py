@@ -52,6 +52,8 @@ class ModelConfig:
         for name in ("enc_layers", "dec_layers", "d_model", "heads", "d_ffn", "conv_kernel"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.d_model % 2:
+            raise ValueError(f"d_model {self.d_model} is odd: sine and cosine columns need an even width")
         if self.conv_kernel % 2 == 0:
             raise ValueError(f"conv_kernel must be odd for 'same' padding, got {self.conv_kernel}")
         if self.enc_layers != 2 * self.dec_layers:

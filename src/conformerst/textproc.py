@@ -12,9 +12,9 @@ PAD = "<pad>"
 UNK = "<unk>"
 BOS = "<bos>"
 EOS = "<eos>"
-LANG_TOKENS = {"en": "<lang:en>", "it": "<lang:it>"}
-SPECIALS = [BLANK, PAD, UNK, BOS, EOS, LANG_TOKENS["en"], LANG_TOKENS["it"]]
 LANGS = ("en", "it")
+LANG_TOKENS = {lang: f"<lang:{lang}>" for lang in LANGS}
+SPECIALS = [BLANK, PAD, UNK, BOS, EOS, *LANG_TOKENS.values()]
 
 
 @dataclass
@@ -103,7 +103,7 @@ def decode(ids, vocab: Vocabulary) -> str:
     """Inverse of encode: strips structural specials, keeps a visible <unk>."""
     out = []
     structural = {vocab.bos_id, vocab.eos_id, vocab.pad_id, vocab.blank_id,
-                  vocab.lang_id("en"), vocab.lang_id("it")}
+                  *(vocab.lang_id(lang) for lang in LANGS)}
     for i in ids:
         i = int(i)
         if i in structural:

@@ -166,6 +166,8 @@ class StageConfig:
             raise ValueError(f"p_asr must be in [0, 1], got {self.p_asr}")
         if self.max_steps < 0 or self.accum < 1 or self.batch_tokens < 1:
             raise ValueError("max_steps >= 0, accum >= 1, batch_tokens >= 1 required")
+        if self.checkpoint_interval < 1 or self.warmup_steps < 1:
+            raise ValueError("checkpoint_interval >= 1 and warmup_steps >= 1 required")
 
     def lr_at(self, step: int) -> float:
         if self.schedule == "noam":
@@ -216,22 +218,22 @@ def make_batches(entries, batch_tokens: int, cache: FeatureCache):
 # ---------------------------------------------------------------------------
 
 
-def forward_batch(model, vocab, entries, feats, task: str):
+def forward_batch(model, vocab, entries, feats, task: str) -> BatchOutputs:
     """One padded forward of a micro-batch: encoder, teacher-forced decoder
     and both CTC heads. feats: per-entry T_i x 80 features.
 
-    Returns (BatchOutputs, transcript token ids, task token ids). Features
-    are zero-padded at the end and decoder prefixes right-padded with pad,
-    which the length masks and the causal mask keep out of every valid
-    position.
+    Returns the BatchOutputs with its CTC references: transcript ids and
+    the task text's ids, which are the decoder sequence without bos,
+    language tag and eos. Features are zero-padded at the end and decoder
+    prefixes right-padded with pad, which the length masks and the causal
+    mask keep out of every valid position.
     """
-    texts, langs = zip(*(task_fields(e, task) for e in entries))
+    ids = [encode(*task_fields(e, task), vocab) for e in entries]
     b = len(entries)
     lengths = np.array([f.shape[0] for f in feats])
     x = np.zeros((b, lengths.max(), NUM_FEATURES))
     for i, f in enumerate(feats):
         x[i, : len(f)] = f
-    ids = [encode(t, lang, vocab) for t, lang in zip(texts, langs)]
     dec_lens = np.array([len(s) - 1 for s in ids])
     prefixes = np.full((b, dec_lens.max()), vocab.pad_id, dtype=np.int64)
     targets = prefixes.copy()
@@ -239,29 +241,16 @@ def forward_batch(model, vocab, entries, feats, task: str):
         prefixes[i, : dec_lens[i]] = s[:-1]
         targets[i, : dec_lens[i]] = s[1:]
     enc = model.encode(x, lengths)
-    out = BatchOutputs(
+    return BatchOutputs(
         dec_logprobs=model.decode_step(enc, prefixes, dec_lens),
         dec_targets=targets,
         ctc_src_logprobs=model.ctc_head(enc.tap_states, "src-tap"),
         ctc_tgt_logprobs=model.ctc_head(enc.states, "tgt-final"),
         enc_lengths=enc.lengths,
+        src_targets=[encode_text(e.transcript, vocab) for e in entries],
+        task_targets=[s[2:-1] for s in ids],
         pad_id=vocab.pad_id,
     )
-    src_tokens = [encode_text(e.transcript, vocab) for e in entries]
-    task_tokens = [encode_text(t, vocab) for t in texts]
-    return out, src_tokens, task_tokens
-
-
-def _accumulate_batch(model, vocab, entries, feats, task, weights, rngs):
-    """Forward and backward of one micro-batch, adding its gradients into
-    `model.flat_grad` (skipped when the objective is not finite). Returns
-    (LossBreakdown, encoder frames); the tape is freed on return."""
-    with model.row_dropout(rngs):
-        outs, srcs, tasks = forward_batch(model, vocab, entries, feats, task)
-    breakdown, objective = combined_loss(outs, srcs, tasks, task, weights)
-    if np.isfinite(objective.data):
-        nc.backward(objective)
-    return breakdown, int(outs.enc_lengths.sum())
 
 
 def _checkpoint_path(out_dir, step: int) -> str:
@@ -274,7 +263,10 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
     """Runs one training stage; returns (final checkpoint path, metrics path).
 
     Writes `ckpt_<step>.ckpt` every `cfg.checkpoint_interval` optimizer steps
-    plus the final step, and appends one JSON metrics line per step.
+    plus the final step (`ckpt_000000` when there are no steps), and appends
+    one JSON metrics line per step. A micro-batch whose objective is not
+    finite adds no gradient, and a step with a non-finite loss or gradient
+    is skipped.
     """
     entries = list(entries)
     if not entries:
@@ -285,32 +277,27 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
     optimizer = AdamW(opt)
     rng = np.random.default_rng(cfg.seed)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
-    stage_tag = cfg.stage
 
     batches = make_batches(entries, cfg.batch_tokens, cache)
     model.training = True
 
     def save(step):
-        path = _checkpoint_path(out_dir, step)
-        save_checkpoint(path, model.state_arrays(), model.config, step, stage_tag)
-        return path
+        save_checkpoint(_checkpoint_path(out_dir, step), model.state_arrays(), model.config,
+                        step, cfg.stage)
 
     metrics_f = open(metrics_path, "w", encoding="utf-8")
     try:
         if cfg.max_steps == 0:
-            return save(0), metrics_path
-        step = 0
+            save(0)
         batch_cursor = 0
         epoch_order = None
-        final_path = None
-        while step < cfg.max_steps:
-            step += 1
+        for step in range(1, cfg.max_steps + 1):
             t0 = time.perf_counter()
             task = "ASR" if cfg.stage == "ASR-pretrain" else sample_task(rng, cfg.p_asr)
             model.zero_grad()
             # dropout masks are a function of (model dropout stream, step, utterance)
             step_key = int(model.dropout_rng.integers(2**63))
-            breakdowns, n_utts, frames = [], 0, 0
+            parts, frames = [], 0
             for _ in range(cfg.accum):
                 if epoch_order is None or batch_cursor >= len(epoch_order):
                     epoch_order = (rng.permutation(len(batches)) if cfg.shuffle
@@ -319,44 +306,45 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
                 batch = batches[epoch_order[batch_cursor]]
                 batch_cursor += 1
                 feats = [cache(entries[i]) for i in batch]
-                rngs = [np.random.default_rng([step_key, i]) for i in batch]
-                breakdown, batch_frames = _accumulate_batch(
-                    model, vocab, [entries[i] for i in batch], feats, task, weights, rngs)
-                breakdowns.append((breakdown, len(batch)))
-                n_utts += len(batch)
-                frames += batch_frames
+                with model.row_dropout([np.random.default_rng([step_key, i]) for i in batch]):
+                    outputs = forward_batch(model, vocab, [entries[i] for i in batch], feats, task)
+                breakdown, objective = combined_loss(outputs, weights)
+                if np.isfinite(objective.data):
+                    nc.backward(objective)
+                parts.append(breakdown)
+                frames += int(outputs.enc_lengths.sum())
+                del outputs, objective  # free this micro-batch's tape before the next forward
+            terms = [np.concatenate(t) for t in zip(*((b.ce, b.ctc_src, b.ctc_tgt) for b in parts))]
+            n_utts = len(terms[0])
+            ce, ctc_src, ctc_tgt = (sum(t.tolist()) / n_utts for t in terms)
+            total = loss_total(weights, ce, ctc_src, ctc_tgt)
             model.flat_grad /= n_utts
             norm = clip_grad_norm(model.flat_grad, cfg.clip_norm)
             lr = cfg.lr_at(step)
-            total_w = sum(n for _, n in breakdowns)
             record = {
                 "step": step,
                 "lr": lr,
-                "ce": sum(b.ce * n for b, n in breakdowns) / total_w,
-                "ctc_src": sum(b.ctc_src * n for b, n in breakdowns) / total_w,
-                "ctc_tgt": sum(b.ctc_tgt * n for b, n in breakdowns) / total_w,
+                "ce": ce,
+                "ctc_src": ctc_src,
+                "ctc_tgt": ctc_tgt,
                 "grad_norm": norm,
                 "task": task,
                 "utts": n_utts,
                 "frames": frames,
-                "tokens": sum(b.token_count for b, _ in breakdowns),
-                "ctc_infeasible": sum(b.ctc_infeasible for b, _ in breakdowns),
+                "tokens": sum(b.tokens for b in parts),
+                "ctc_infeasible": sum(b.ctc_infeasible for b in parts),
+                "total": total,
             }
-            record["total"] = loss_total(
-                weights, record["ce"], record["ctc_src"], record["ctc_tgt"]
-            )
-            applied = np.isfinite(record["total"]) and np.isfinite(norm)
+            applied = np.isfinite(total) and np.isfinite(norm)
             if applied:
                 applied = optimizer.step(model.flat, model.flat_grad, lr)
             if not applied:
                 record["skipped"] = True
             record["wall_ms"] = (time.perf_counter() - t0) * 1000.0
             metrics_f.write(json.dumps(record) + "\n")
-            if step % cfg.checkpoint_interval == 0:
-                final_path = save(step)
-        if final_path is None or step % cfg.checkpoint_interval != 0:
-            final_path = save(step)
-        return final_path, metrics_path
+            if step % cfg.checkpoint_interval == 0 or step == cfg.max_steps:
+                save(step)
+        return _checkpoint_path(out_dir, cfg.max_steps), metrics_path
     finally:
         metrics_f.close()
         model.training = False

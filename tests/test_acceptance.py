@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conformerst import numcore as nc
-from conformerst.decoding import DecodeConfig, beam_search
+from conformerst.decoding import DecodeConfig, beam_search, decode_entries
 from conformerst.evaluation import perplexity, wer, xrtf_bench
 from conformerst.frontend import (
     SAMPLE_RATE,
@@ -42,7 +42,6 @@ from conformerst.textproc import (
     DEFAULT_BOUNDS,
     ManifestEntry,
     build_vocab,
-    decode as decode_ids,
     ratio_filter,
 )
 from conformerst.training import (
@@ -184,12 +183,7 @@ def test_criterion_05_overfit_run(overfit_run):
     with criterion(5, "2000-step overfit reaches WER <= 5% and ppl <= 1.5 in <= 10 min"):
         model, vocab = overfit_run["model"], overfit_run["vocab"]
         entries, cache = overfit_run["train_entries"], overfit_run["cache"]
-        hyps = []
-        for e in entries:
-            feats = cache(e)
-            enc = model.encode(feats[None], [feats.shape[0]])
-            best = beam_search(model, vocab, enc, e.src_lang, DESK_DECODE)[0]
-            hyps.append(decode_ids(best.text_tokens(vocab), vocab))
+        hyps = decode_entries(model, vocab, entries, cache, DESK_DECODE, "ASR")
         report = wer([e.transcript for e in entries], hyps)
         ppl = perplexity(model, vocab, entries, "ASR", cache)
         assert report.wer <= 0.05

@@ -68,6 +68,21 @@ class TestPipeline:
                      "--checkpoint", str(avg), "--task", "ASR",
                      "--hyps", str(hyps)]) == 0
 
+    def test_evaluate_prints_a_perfect_wer(self, workspace, tmp_path, capsys):
+        root, manifest, vocab = workspace
+        out = tmp_path / "run0"
+        assert main(["train", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--out", str(out), "--steps", "0", *MODEL_FLAGS]) == 0
+        hyps = tmp_path / "hyps.jsonl"
+        hyps.write_text("".join(json.dumps({"hyp": e.transcript}) + "\n"
+                                for e in load_manifest(manifest)))
+        capsys.readouterr()
+        assert main(["evaluate", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--checkpoint", str(out / "ckpt_000000.ckpt"), "--task", "ASR",
+                     "--hyps", str(hyps)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["wer", "0.0"] in rows and ["substitutions", "0"] in rows
+
     def test_decode_and_bench_give_the_same_texts(self, workspace, tmp_path):
         root, manifest, vocab = workspace
         out = tmp_path / "run0"
@@ -171,6 +186,21 @@ class TestErrors:
                      "--out", str(tmp_path), "--steps", "0", *MODEL_FLAGS, "--heads", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "heads" in err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--steps", "-3", "max_steps"),
+        ("--batch-tokens", "0", "batch_tokens"),
+        ("--checkpoint-interval", "0", "checkpoint_interval"),
+        ("--warmup", "0", "warmup_steps"),
+    ])
+    def test_train_override_validated(self, workspace, tmp_path, capsys, flag, value, field):
+        root, manifest, vocab = workspace
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--out", str(tmp_path), "--steps", "2", flag, value, *MODEL_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not list(tmp_path.glob("ckpt_*.ckpt"))
 
     def test_bench_zero_batch_size(self, workspace, tmp_path, capsys):
         root, manifest, vocab = workspace

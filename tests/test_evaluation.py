@@ -100,6 +100,8 @@ class TestXrtf:
         assert report.audio_seconds == pytest.approx(sum(e.duration_s for e in entries))
         assert report.xrtf == pytest.approx(report.audio_seconds / report.compute_seconds)
         assert report.batch_size == 2
+        rows = [line.split()[0] for line in report.table().splitlines()]
+        assert rows == ["xrtf", "audio_seconds", "compute_seconds", "batch_size"]
 
     def test_decode_outputs_deterministic(self, setup):
         model, vocab, entries, cache = setup
@@ -138,3 +140,7 @@ class TestXrtf:
     def test_table_rendering(self):
         text = EvalReport(wer=0.25, substitutions=1, ref_words=4).table()
         assert "wer" in text and "0.25" in text
+        # a perfect decode keeps its zero rows
+        rows = dict(line.split() for line in wer(["a b c"], ["a b c"]).table().splitlines())
+        assert rows == {"wer": "0.0", "substitutions": "0", "deletions": "0",
+                        "insertions": "0", "ref_words": "3"}

@@ -198,11 +198,14 @@ class TestBatchedCTC:
 
 class TestCombined:
     def _outputs(self, seed):
+        """Two utterances; the second has two decoder targets and then padding (9)."""
         rng = np.random.default_rng(seed)
-        dec = nc.log_softmax(nc.tensor(rng.standard_normal((1, 4, 6)), requires_grad=True))
-        src = nc.log_softmax(nc.tensor(rng.standard_normal((1, 5, 6)), requires_grad=True))
-        tgt = nc.log_softmax(nc.tensor(rng.standard_normal((1, 5, 6)), requires_grad=True))
-        return BatchOutputs(dec, np.array([[1, 2, 3, 4]]), src, tgt, enc_lengths=np.array([5]))
+        dec = nc.log_softmax(nc.tensor(rng.standard_normal((2, 4, 6)), requires_grad=True))
+        src = nc.log_softmax(nc.tensor(rng.standard_normal((2, 5, 6)), requires_grad=True))
+        tgt = nc.log_softmax(nc.tensor(rng.standard_normal((2, 5, 6)), requires_grad=True))
+        return BatchOutputs(dec, np.array([[1, 2, 3, 4], [2, 3, 9, 9]]), src, tgt,
+                            enc_lengths=np.array([5, 4]), src_targets=[[1, 2], [3]],
+                            task_targets=[[1, 2], [4, 5]], pad_id=9)
 
     def test_weighted_sum(self):
         w = LossWeights()
@@ -212,16 +215,10 @@ class TestCombined:
         w = LossWeights(lambda_ce=0.0, lambda_ctc_src=0.0, lambda_ctc_tgt=0.0)
         assert loss_total(w, 3.3, 1.1, 7.7) == 0.0
 
-    def test_breakdown_total_bit_exact(self):
-        out = self._outputs(3)
-        bd, _ = combined_loss(out, [[1, 2]], [[1, 2]], "ASR", LossWeights())
-        assert bd.total == loss_total(LossWeights(), bd.ce, bd.ctc_src, bd.ctc_tgt)
-
-    def test_st_requires_translation(self):
-        out = self._outputs(4)
-        with pytest.raises(ValueError, match="missing target"):
-            combined_loss(out, [[1, 2]], [None], "ST", LossWeights())
-
-    def test_unknown_task(self):
-        with pytest.raises(ValueError, match="task"):
-            combined_loss([], [], [], "XX", LossWeights())
+    def test_objective_is_sum_of_per_utterance_terms(self):
+        w = LossWeights()
+        bd, objective = combined_loss(self._outputs(3), w)
+        assert bd.ce.shape == bd.ctc_src.shape == bd.ctc_tgt.shape == (2,)
+        assert bd.tokens == 6 and bd.ctc_infeasible == 0
+        per_utt = loss_total(w, bd.ce, bd.ctc_src, bd.ctc_tgt)
+        assert float(objective.data) == pytest.approx(per_utt.sum(), rel=1e-12)

@@ -53,6 +53,7 @@ class TestConfig:
         (dict(d_ffn=0), "d_ffn"),
         (dict(conv_kernel=0), "conv_kernel"),
         (dict(conv_kernel=4), "odd"),
+        (dict(d_model=3, heads=1), "even width"),
     ])
     def test_bad_sizes_rejected(self, bad, match):
         with pytest.raises(ValueError, match=match):

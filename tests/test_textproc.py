@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from conformerst.textproc import (
     DEFAULT_BOUNDS,
     FilterBounds,
+    LANGS,
     ManifestEntry,
     Vocabulary,
     build_vocab,
@@ -43,6 +44,11 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(["a", "b"])
 
+    def test_specials_are_fixed(self):
+        # saved vocabularies, the decode fixture's among them, start with this list
+        assert SPECIALS == ["<blank>", "<pad>", "<unk>", "<bos>", "<eos>", "<lang:en>",
+                            "<lang:it>"]
+
     def test_save_load_roundtrip(self, tmp_path):
         v = build_vocab(["hello à"])
         p = tmp_path / "vocab.json"
@@ -59,6 +65,10 @@ class TestEncode:
     def test_empty_text(self):
         v = build_vocab(["ab"])
         assert encode("", "it", v) == [v.bos_id, v.lang_id("it"), v.eos_id]
+
+    def test_decode_strips_every_language_tag(self):
+        v = build_vocab(["ab"])
+        assert decode([v.lang_id(lang) for lang in LANGS] + [v.id("a")], v) == "a"
 
     def test_unknown_char_maps_to_unk(self):
         v = build_vocab(["ab"])

@@ -7,9 +7,9 @@ import pytest
 
 from conformerst import numcore as nc
 from conformerst.frontend import CorpusSpec, FeatureCache, synth_corpus
-from conformerst.losses import LossWeights, combined_loss
+from conformerst.losses import LossWeights, combined_loss, loss_total
 from conformerst.model import Model, ModelConfig, load_checkpoint, save_checkpoint, subsampled_length
-from conformerst.textproc import build_vocab
+from conformerst.textproc import build_vocab, encode_text
 from conformerst.training import (
     AdamW,
     OptimizerConfig,
@@ -178,6 +178,12 @@ class TestStageConfig:
             StageConfig(stage="ASR+ST", schedule="noam")
         StageConfig(stage="ASR+ST", schedule="constant")  # valid
 
+    @pytest.mark.parametrize("field", ["checkpoint_interval", "warmup_steps"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_interval_or_warmup_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} >= 1"):
+            StageConfig(**{field: value})
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"stage": "ASR-pretrain", "momentum": 0.9}))
@@ -211,16 +217,19 @@ def corpus(tmp_path_factory):
 class TestTrainStage:
     def test_checkpoints_and_metrics_schedule(self, corpus, tmp_path):
         entries, vocab = corpus
-        model = tiny_model(vocab)
-        cfg = StageConfig(max_steps=4, checkpoint_interval=2, batch_tokens=40, seed=1)
-        final, metrics = train_stage(entries, model, vocab, cfg, tmp_path)
-        assert (tmp_path / "ckpt_000002.ckpt").exists()
-        assert (tmp_path / "ckpt_000004.ckpt").exists()
-        assert final.endswith("ckpt_000004.ckpt")
-        lines = [json.loads(l) for l in open(metrics)]
-        assert [l["step"] for l in lines] == [1, 2, 3, 4]
-        for key in ("lr", "ce", "ctc_src", "ctc_tgt", "total", "grad_norm", "wall_ms"):
-            assert key in lines[0]
+        # the last step is saved also when the interval does not divide it
+        for max_steps, saved in ((4, [2, 4]), (5, [2, 4, 5])):
+            out = tmp_path / f"steps{max_steps}"
+            cfg = StageConfig(max_steps=max_steps, checkpoint_interval=2, batch_tokens=40,
+                              seed=1)
+            final, metrics = train_stage(entries, tiny_model(vocab), vocab, cfg, out)
+            assert sorted(p.name for p in out.glob("ckpt_*.ckpt")) == [
+                f"ckpt_{s:06d}.ckpt" for s in saved]
+            assert final == str(out / f"ckpt_{max_steps:06d}.ckpt")
+            lines = [json.loads(l) for l in open(metrics)]
+            assert [l["step"] for l in lines] == list(range(1, max_steps + 1))
+            for key in ("lr", "ce", "ctc_src", "ctc_tgt", "total", "grad_norm", "wall_ms"):
+                assert key in lines[0]
 
     def test_zero_steps_emits_initial_checkpoint(self, corpus, tmp_path):
         entries, vocab = corpus
@@ -294,9 +303,8 @@ class TestFlatArrays:
         entries, vocab = corpus
         model = tiny_model(vocab, dropout=0.0)
         cache = FeatureCache()
-        outs, srcs, tasks = forward_batch(model, vocab, entries[:2],
-                                          [cache(e) for e in entries[:2]], "ASR")
-        nc.backward(combined_loss(outs, srcs, tasks, "ASR", LossWeights())[1])
+        outputs = forward_batch(model, vocab, entries[:2], [cache(e) for e in entries[:2]], "ASR")
+        nc.backward(combined_loss(outputs, LossWeights())[1])
         assert model.flat_grad is None
         stray = model.params["ctc.src.w"].grad
         model.zero_grad()
@@ -320,11 +328,38 @@ def mixed_corpus(tmp_path_factory):
 def batch_losses(model, vocab, entries, cache, task="ST"):
     """Per-utterance objective terms of one padded forward, and its gradients."""
     model.zero_grad()
-    outs, srcs, tasks = forward_batch(model, vocab, entries, [cache(e) for e in entries], task)
-    breakdown, objective = combined_loss(outs, srcs, tasks, task, LossWeights())
+    weights = LossWeights()
+    outputs = forward_batch(model, vocab, entries, [cache(e) for e in entries], task)
+    bd, objective = combined_loss(outputs, weights)
     nc.backward(objective)
     grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
-    return breakdown.per_utt, grads
+    return loss_total(weights, bd.ce, bd.ctc_src, bd.ctc_tgt), grads
+
+
+class TestForwardBatch:
+    def test_references_are_the_text_ids(self, mixed_corpus):
+        entries, vocab = mixed_corpus
+        cache = FeatureCache()
+        with nc.no_grad():
+            outputs = forward_batch(tiny_model(vocab), vocab, entries,
+                                    [cache(e) for e in entries], "ST")
+        assert outputs.src_targets == [encode_text(e.transcript, vocab) for e in entries]
+        assert outputs.task_targets == [encode_text(e.translation, vocab) for e in entries]
+        assert outputs.pad_id == vocab.pad_id
+
+    def test_st_requires_translation(self, mixed_corpus):
+        entries, vocab = mixed_corpus
+        cache = FeatureCache()
+        bare = dataclasses.replace(entries[1], translation=None, tgt_lang=None)
+        with pytest.raises(ValueError, match="has no translation"):
+            forward_batch(tiny_model(vocab), vocab, [entries[0], bare],
+                          [cache(e) for e in entries[:2]], "ST")
+
+    def test_unknown_task(self, mixed_corpus):
+        entries, vocab = mixed_corpus
+        cache = FeatureCache()
+        with pytest.raises(ValueError, match="unknown task"):
+            forward_batch(tiny_model(vocab), vocab, entries[:1], [cache(entries[0])], "XX")
 
 
 class TestBatchedStep:
