@@ -91,14 +91,6 @@ def ctc_feasible(num_frames: int, target) -> bool:
     return num_frames >= len(target) + repeats
 
 
-def _lse3(a, b, c):
-    """Elementwise log(exp(a) + exp(b) + exp(c)); -inf where all three are."""
-    m = np.maximum(np.maximum(a, b), c)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return m + np.log(np.exp(a - m) + np.exp(b - m) + np.exp(c - m))
-
-
 class Lattice(NamedTuple):
     log_p: np.ndarray  # R: log P(target | frames), -inf if the target cannot fit
     alpha: np.ndarray  # R x T x S log forward variables (emission included)
@@ -141,7 +133,8 @@ def ctc_lattice(logp: np.ndarray, targets, lengths, blank: int = BLANK_ID,
     prev = np.full((rows, s_max + 2), NEG_INF)  # two -inf states on the left
     for t in range(1, t_max):
         prev[:, 2:] = alpha[:, t - 1]
-        alpha[:, t] = _lse3(prev[:, 2:], prev[:, 1:-1], prev[:, :-2] + skip) + emit[:, t]
+        alpha[:, t] = (np.logaddexp(np.logaddexp(prev[:, 2:], prev[:, 1:-1]), prev[:, :-2] + skip)
+                       + emit[:, t])
     r_idx = np.arange(rows)
     last = lengths - 1
     ends = valid & (np.arange(s_max)[None, :] >= s_len[:, None] - 2)  # final blank and label
@@ -158,7 +151,7 @@ def ctc_lattice(logp: np.ndarray, targets, lengths, blank: int = BLANK_ID,
     for t in range(t_max - 1, -1, -1):
         if t + 1 < t_max:
             nxt[:, :-2] = beta[:, t + 1]
-        rec = _lse3(nxt[:, :-2], nxt[:, 1:-1], nxt[:, 2:] + fskip) + emit[:, t]
+        rec = np.logaddexp(np.logaddexp(nxt[:, :-2], nxt[:, 1:-1]), nxt[:, 2:] + fskip) + emit[:, t]
         beta[:, t] = np.where((last == t)[:, None], init, rec)
     return Lattice(log_p, alpha, beta, emit, ext)
 

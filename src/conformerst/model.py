@@ -9,6 +9,11 @@ subsampling and after the decoder embedding.
 The decoder has one path, `decode_step` over a `DecoderState`: teacher forcing
 feeds whole sequences to a fresh state, incremental decoding feeds each row's
 next tokens to a state that it keeps.
+
+The layers are numcore's fused nodes: a linear layer is one `matmul` node with
+its bias, a layer norm one `layer_norm` node with its gain and bias, and the
+attention core (head split, scaled QK^T, mask, softmax, dropout, times V,
+head merge) one `attention` node.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import numpy as np
 from . import numcore as nc
 from .numcore import Tensor
 
-MASK_VALUE = -1e30
 CHECKPOINT_MAGIC = b"FAMA"
 CHECKPOINT_VERSION = 1
 
@@ -103,9 +107,9 @@ class DecoderState:
     """Incremental decoder state of the rows (beams) of one encoder output;
     made by `Model.decoder_state`, advanced by `Model.decode_step`."""
 
-    cross_kv: list  # per layer (keys, values), encoder batch x H x T' x dh
+    cross_kv: list  # per layer (keys, values), encoder batch x T' x d
     pe: np.ndarray  # positional table, rows 0..; starts empty, doubles on demand
-    self_kv: list  # per layer (keys, values) of the positions fed so far, rows x H x pos x dh
+    self_kv: list  # per layer (keys, values) of the positions fed so far, rows x pos x d
     pos: int = 0  # positions fed so far
 
     def reorder(self, parent_rows):
@@ -265,10 +269,10 @@ class Model:
         return self.params[name]
 
     def _linear(self, name, x):
-        return nc.add(nc.matmul(x, self._p(f"{name}.w")), self._p(f"{name}.b"))
+        return nc.matmul(x, self._p(f"{name}.w"), self._p(f"{name}.b"))
 
     def _ln(self, name, x):
-        return nc.add(nc.mul(nc.layer_norm(x), self._p(f"{name}.g")), self._p(f"{name}.b"))
+        return nc.layer_norm(x, self._p(f"{name}.g"), self._p(f"{name}.b"))
 
     @contextmanager
     def row_dropout(self, rngs):
@@ -282,50 +286,41 @@ class Model:
         finally:
             self._row_rngs = None
 
-    def _dropout(self, x, q_lens, k_lens=None):
-        """q_lens: valid positions per row on axis 1 (B x T x d), or on the
-        query axis of attention weights (B x H x Tq x Tk) with k_lens valid keys."""
-        rate = self.config.dropout
-        if not self.training or rate <= 0.0:
-            return x
-        if self._row_rngs is None or len(self._row_rngs) != x.shape[0]:
+    def _draws(self, shape, q_lens, k_lens=None):
+        """Uniform dropout draws of `shape`, or None when dropout is off.
+        q_lens: valid positions per row on axis 1 (B x T x d), or on the query
+        axis of attention weights (B x H x Tq x Tk) with k_lens valid keys."""
+        if not self.training or self.config.dropout <= 0.0:
+            return None
+        if self._row_rngs is None or len(self._row_rngs) != shape[0]:
             given = "no" if self._row_rngs is None else len(self._row_rngs)
-            raise ValueError(f"training forward of a batch of {x.shape[0]} needs one dropout "
+            raise ValueError(f"training forward of a batch of {shape[0]} needs one dropout "
                              f"generator per row (Model.row_dropout); got {given}")
-        draws = np.ones(x.shape)  # padded positions are kept; no valid position reads them
+        draws = np.ones(shape)  # padded positions are kept; no valid position reads them
         for b, rng in enumerate(self._row_rngs):
-            ext = ((q_lens[b],) + x.shape[2:] if k_lens is None
-                   else (x.shape[1], q_lens[b], k_lens[b]))
+            ext = ((q_lens[b],) + shape[2:] if k_lens is None
+                   else (shape[1], q_lens[b], k_lens[b]))
             draws[(b,) + tuple(slice(0, e) for e in ext)] = rng.random(ext)
-        return nc.dropout(x, rate, draws)
+        return draws
 
-    def _heads(self, t):
-        """B x T x d -> B x H x T x dh."""
-        b, n, d = t.shape
-        h = self.config.heads
-        return nc.transpose(nc.reshape(t, (b, n, h, d // h)), (0, 2, 1, 3))
+    def _dropout(self, x, lens):
+        draws = self._draws(x.shape, lens)
+        return x if draws is None else nc.dropout(x, self.config.dropout, draws)
 
     def _kv(self, prefix, x):
-        """Keys and values of attention `prefix` over states x, split into heads."""
-        return (self._heads(self._linear(f"{prefix}.k", x)),
-                self._heads(self._linear(f"{prefix}.v", x)))
+        """Keys and values of attention `prefix` over states x (B x T x d)."""
+        return self._linear(f"{prefix}.k", x), self._linear(f"{prefix}.v", x)
 
     def _mha(self, prefix, x_q, kv, mask, q_lens, k_lens):
-        """kv: (keys, values) from `_kv`, B x H x Tk x dh, or with batch 1 to
-        broadcast one encoder output over the query rows; mask: additive bool
-        array broadcastable to B x H x Tq x Tk; q_lens/k_lens: valid query/key
-        positions per row (for dropout)."""
-        b, tq, d = x_q.shape
-        k, v = kv
-        q = self._heads(self._linear(f"{prefix}.q", x_q))
-        scores = nc.scale(nc.matmul(q, nc.transpose(k, (0, 1, 3, 2))),
-                          1.0 / math.sqrt(d // self.config.heads))
-        if mask is not None:
-            scores = nc.mask_fill(scores, mask, MASK_VALUE)
-        attn = nc.softmax(scores)
-        attn = self._dropout(attn, q_lens, k_lens)
-        out = nc.matmul(attn, v)
-        out = nc.reshape(nc.transpose(out, (0, 2, 1, 3)), (b, tq, d))
+        """kv: (keys, values) from `_kv`, B x Tk x d, or with batch 1 to
+        broadcast one encoder output over the query rows; mask: bool array,
+        True where a key is hidden, broadcastable to B x H x Tq x Tk;
+        q_lens/k_lens: valid query/key positions per row (for dropout)."""
+        b, tq, _ = x_q.shape
+        h = self.config.heads
+        draws = self._draws((b, h, tq, kv[0].shape[1]), q_lens, k_lens)
+        out = nc.attention(self._linear(f"{prefix}.q", x_q), *kv, h, mask,
+                           self.config.dropout, draws)
         return self._linear(f"{prefix}.o", out)
 
     def _ffn(self, prefix, x, lens):
@@ -459,7 +454,7 @@ class Model:
             x = self._ln(f"{p}.self.ln", h)
             kv = self._kv(f"{p}.self", x)
             if state.self_kv[i] is not None:
-                kv = tuple(nc.concat([old, new], axis=2) for old, new in zip(state.self_kv[i], kv))
+                kv = tuple(nc.concat([old, new], axis=1) for old, new in zip(state.self_kv[i], kv))
             state.self_kv[i] = kv
             h = nc.add(h, self._dropout(self._mha(f"{p}.self", x, kv, causal, lens, lens), lens))
             x = self._ln(f"{p}.cross.ln", h)

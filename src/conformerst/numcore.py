@@ -5,22 +5,22 @@ operation records a node on an implicit tape (parent links plus a backward
 closure); `backward` runs the closures in reverse topological order.
 Double precision is the default so gradients can be validated against
 central finite differences; training code may opt into float32.
+
+Python cost per node bounds a desk-size step, so the model's layers are fused
+nodes with analytic backwards: `matmul` with a bias (linear layer),
+`layer_norm` with a gain and a bias (affine layer norm) and `attention` (head
+split, scaled QK^T, key mask, softmax, dropout, times V, head merge).
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "ShapeError",
-    "GraphError",
-    "tensor",
-    "backward",
-    "finite_difference_check",
-    "set_strict_mode",
-    "no_grad",
-]
+__all__ = ["Tensor", "ShapeError", "GraphError", "tensor", "backward",
+           "finite_difference_check", "set_strict_mode", "no_grad"]
 
 
 class ShapeError(ValueError):
@@ -33,6 +33,8 @@ class GraphError(RuntimeError):
 
 _STRICT_MODE = False
 _GRAD_ENABLED = True
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+MASK_VALUE = -1e30  # score of a masked attention key: its softmax weight underflows to 0
 
 
 def set_strict_mode(enabled: bool) -> None:
@@ -41,24 +43,15 @@ def set_strict_mode(enabled: bool) -> None:
     _STRICT_MODE = bool(enabled)
 
 
-class no_grad:
-    """Context manager that disables tape recording (inference mode)."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
-
-
-def _check_finite(op, a):
-    if _STRICT_MODE and not np.all(np.isfinite(a)):
-        raise ValueError(f"{op}: non-finite result in strict mode")
+@contextmanager
+def no_grad():
+    """Within this block no op records a tape node (inference mode)."""
+    global _GRAD_ENABLED
+    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -68,7 +61,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOATS:
             arr = arr.astype(np.float64)
         # ascontiguousarray would promote 0-d arrays to 1-d; keep them 0-d
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
@@ -78,38 +71,35 @@ class Tensor:
         self._backward = None
         self._consumed = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
+    shape = property(lambda self: self.data.shape)
+    dtype = property(lambda self: self.data.dtype)
+    ndim = property(lambda self: self.data.ndim)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad=False):
-    return Tensor(data, requires_grad=requires_grad)
+tensor = Tensor
 
 
 def _make(op, data, parents, backward_fn):
-    """Create a result tensor, recording a tape node when grad is needed."""
-    _check_finite(op, data)
-    out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    """Result tensor of an op, a tape node if grad is enabled and a parent needs
+    it. A C-contiguous float array (what ops return) skips `Tensor`'s conversions."""
+    if _STRICT_MODE and not np.isfinite(data).all():
+        raise ValueError(f"{op}: non-finite result in strict mode")
+    if type(data) is np.ndarray and data.dtype in _FLOATS and data.flags.c_contiguous:
+        out = Tensor.__new__(Tensor)
+        out.data, out.grad, out.requires_grad = data, None, False
+        out._parents, out._backward, out._consumed = (), None, False
+    else:
+        out = Tensor(data)
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward_fn
+                break
     return out
 
 
@@ -159,12 +149,9 @@ def backward(out: Tensor, seed=None):
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
-    if seed is None:
-        seed = np.ones_like(out.data)
-    else:
-        seed = np.asarray(seed, dtype=out.data.dtype)
-        if seed.shape != out.data.shape:
-            raise ShapeError(f"backward: seed shape {seed.shape} != output shape {out.data.shape}")
+    seed = np.ones_like(out.data) if seed is None else np.asarray(seed, dtype=out.data.dtype)
+    if seed.shape != out.data.shape:
+        raise ShapeError(f"backward: seed shape {seed.shape} != output shape {out.data.shape}")
     out.grad = seed
     for node in reversed(topo):
         node._consumed = True
@@ -173,9 +160,7 @@ def backward(out: Tensor, seed=None):
             node.grad = None  # an interior gradient is spent once passed to the parents
 
 
-# ---------------------------------------------------------------------------
-# elementwise and structural ops
-# ---------------------------------------------------------------------------
+# -- elementwise and structural ops ---------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -222,27 +207,13 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make("reshape", data, (a,), bw)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    data = np.ascontiguousarray(a.data.transpose(axes))
-
-    def bw(g):
-        _accum(a, g.transpose(np.argsort(axes)))
-
-    return _make("transpose", data, (a,), bw)
-
-
 def concat(tensors, axis=0) -> Tensor:
-    datas = [t.data for t in tensors]
-    data = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+        for t, gt in zip(tensors, np.split(g, splits, axis=axis)):
+            _accum(t, gt)
 
     return _make("concat", data, tuple(tensors), bw)
 
@@ -251,115 +222,111 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape))
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape))
 
     return _make("sum", data, (a,), bw)
 
 
 def mean_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
+    n = a.data.size if axis is None else a.shape[axis]
     return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus `bias` (one value per column) when given: a linear layer."""
     if b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+    if bias is not None and bias.shape != b.shape[-1:]:
+        raise ShapeError(f"matmul: bias {bias.shape} for weight {b.shape}")
     data = np.matmul(a.data, b.data)
+    if bias is not None:
+        data += bias.data
 
     def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.shape))
-        _accum(b, _unbroadcast(gb, b.shape))
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
 
-    return _make("matmul", data, (a, b), bw)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _make("matmul", data, parents, bw)
 
 
 def silu(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # exp overflow saturates sig to 0 exactly
         sig = 1.0 / (1.0 + np.exp(-a.data))
-    data = a.data * sig
 
     def bw(g):
         _accum(a, g * (sig * (1.0 + a.data * (1.0 - sig))))
 
-    return _make("silu", data, (a,), bw)
+    return _make("silu", a.data * sig, (a,), bw)
 
 
 def glu(a: Tensor, axis=-1) -> Tensor:
     """Gated linear unit: split `a` in half along `axis`, first * sigmoid(second)."""
-    n = a.shape[axis]
-    if n % 2 != 0:
-        raise ShapeError(f"glu: axis extent {n} of shape {a.shape} is odd")
-    half = n // 2
+    if a.shape[axis] % 2:
+        raise ShapeError(f"glu: axis extent {a.shape[axis]} of shape {a.shape} is odd")
     x, gate = np.split(a.data, 2, axis=axis)
     sig = 1.0 / (1.0 + np.exp(-gate))
-    data = x * sig
 
     def bw(g):
-        gx = g * sig
-        gg = g * x * sig * (1.0 - sig)
-        _accum(a, np.concatenate([gx, gg], axis=axis))
+        _accum(a, np.concatenate([g * sig, g * x * sig * (1.0 - sig)], axis=axis))
 
-    return _make("glu", data, (a,), bw)
-
-
-def softmax(a: Tensor, axis=-1) -> Tensor:
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        _accum(a, data * (g - dot))
-
-    return _make("softmax", data, (a,), bw)
+    return _make("glu", x * sig, (a,), bw)
 
 
 def log_softmax(a: Tensor, axis=-1) -> Tensor:
     m = a.data.max(axis=axis, keepdims=True)
     shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-    p = np.exp(data)
+    data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
     def bw(g):
-        _accum(a, g - p * g.sum(axis=axis, keepdims=True))
+        _accum(a, g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
     return _make("log_softmax", data, (a,), bw)
 
 
-def layer_norm(a: Tensor, eps=1e-5) -> Tensor:
-    """Normalize over the last axis (no affine; apply gain/bias separately)."""
-    # np.add.reduce / n: the same values as ndarray.mean, without its wrapper's cost
+def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
+               eps=1e-5) -> Tensor:
+    """Normalize over the last axis, then scale by `gain` and shift by `bias` if given."""
     n = a.shape[-1]
+    if any(t is not None and t.shape != (n,) for t in (gain, bias)):
+        raise ShapeError(f"layer_norm: gain or bias not of shape ({n},) for input {a.shape}")
+    # np.add.reduce / n: the same values as ndarray.mean, without its wrapper's cost
     mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
     xc = a.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    data = xc * inv
+    y = xc * inv
+    data = y if gain is None else y * gain.data
+    if bias is not None:
+        data = data + bias.data
 
     def bw(g):
-        gm = np.add.reduce(g, axis=-1, keepdims=True) / n
-        gxm = np.add.reduce(g * data, axis=-1, keepdims=True) / n
-        _accum(a, inv * (g - gm - data * gxm))
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.shape))
+        if gain is not None:
+            _accum(gain, _unbroadcast(g * y, gain.shape))
+            g = g * gain.data
+        if a.requires_grad:
+            gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+            gym = np.add.reduce(g * y, axis=-1, keepdims=True) / n
+            _accum(a, inv * (g - gm - y * gym))
 
-    return _make("layer_norm", data, (a,), bw)
+    parents = (a,) + tuple(t for t in (gain, bias) if t is not None)
+    return _make("layer_norm", data, parents, bw)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
     """Row lookup; ids is an integer array, output shape ids.shape + (d,)."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
-        raise ShapeError(
-            f"embedding: id out of range for table {weight.shape} (ids span "
-            f"[{ids.min()}, {ids.max()}])"
-        )
+        raise ShapeError(f"embedding: id out of range for table {weight.shape} "
+                         f"(ids span [{ids.min()}, {ids.max()}])")
     data = weight.data[ids]
 
     def bw(g):
@@ -376,33 +343,26 @@ def gather_index(a: Tensor, ids) -> Tensor:
     if a.ndim != 2 or ids.shape != (a.shape[0],):
         raise ShapeError(f"gather_index: got {a.shape} with ids {ids.shape}")
     rows = np.arange(a.shape[0])
-    data = a.data[rows, ids]
 
     def bw(g):
         ga = np.zeros_like(a.data)
         ga[rows, ids] = g
         _accum(a, ga)
 
-    return _make("gather_index", data, (a,), bw)
+    return _make("gather_index", a.data[rows, ids], (a,), bw)
 
 
-def mask_fill(a: Tensor, mask, value) -> Tensor:
-    """Set positions where `mask` is True to `value`; their gradient is zero."""
-    mask = np.asarray(mask, dtype=bool)
-    data = np.where(mask, np.asarray(value, dtype=a.dtype), a.data)
-
-    def bw(g):
-        _accum(a, _unbroadcast(np.where(mask, 0.0, g), a.shape))
-
-    return _make("mask_fill", data, (a,), bw)
+def _keep(op, rate, draws, shape, dtype):
+    """Dropout's scale per element: 1 / (1 - rate) where the draw is >= rate, else 0."""
+    if draws.shape != shape:
+        raise ShapeError(f"{op}: draws {draws.shape} for input {shape}")
+    return (draws >= rate).astype(dtype) / (1.0 - rate)
 
 
 def dropout(a: Tensor, rate: float, draws: np.ndarray) -> Tensor:
     """Inverted-scaling dropout: keeps the elements whose uniform draw (an
     array of a's shape) is >= rate, scaled by 1 / (1 - rate)."""
-    if draws.shape != a.shape:
-        raise ShapeError(f"dropout: draws {draws.shape} for input {a.shape}")
-    keep = (draws >= rate).astype(a.dtype) / (1.0 - rate)
+    keep = _keep("dropout", rate, draws, a.shape, a.dtype)
 
     def bw(g):
         _accum(a, g * keep)
@@ -410,9 +370,52 @@ def dropout(a: Tensor, rate: float, draws: np.ndarray) -> Tensor:
     return _make("dropout", a.data * keep, (a,), bw)
 
 
-# ---------------------------------------------------------------------------
-# convolutions
-# ---------------------------------------------------------------------------
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, rate: float = 0.0,
+              draws: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention, heads split and merged inside.
+
+    q: B x Tq x d; k, v: B x Tk x d, or 1 x Tk x d shared by every query row;
+    mask: bool, True where a key is hidden, broadcastable to B x heads x Tq x
+    Tk; draws: None, or uniform draws of that shape for dropout at `rate` on
+    the attention weights (as in `dropout`). Returns B x Tq x d.
+    """
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or q.shape[2] % heads
+            or k.shape[2] != q.shape[2] or k.shape[0] not in (1, q.shape[0])):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
+    (b, tq, d), (bk, tk, _) = q.shape, k.shape
+    dh, c = d // heads, 1.0 / math.sqrt(d // heads)
+    # contiguous head-major copies (K transposed): the products round as on these layouts
+    qh = np.ascontiguousarray(q.data.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(k.data.reshape(bk, tk, heads, dh).transpose(0, 2, 3, 1))
+    vh = np.ascontiguousarray(v.data.reshape(bk, tk, heads, dh).transpose(0, 2, 1, 3))
+    scores = np.matmul(qh, kt) * c
+    if mask is not None:
+        scores = np.where(mask, scores.dtype.type(MASK_VALUE), scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    keep = None if draws is None else _keep("attention", rate, draws, p.shape, p.dtype)
+    pd = p if keep is None else p * keep
+    data = np.matmul(pd, vh).transpose(0, 2, 1, 3).reshape(b, tq, d)
+
+    def bw(g):
+        g4 = g.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
+        gp = np.matmul(g4, np.swapaxes(vh, -1, -2))
+        gv = _unbroadcast(np.matmul(np.swapaxes(pd, -1, -2), g4), vh.shape)
+        gp = gp if keep is None else gp * keep
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        if mask is not None:
+            gs = np.where(mask, 0.0, gs)
+        gs = gs * c
+        gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+        gk = _unbroadcast(np.matmul(np.swapaxes(qh, -1, -2), gs), kt.shape)
+        _accum(v, gv.transpose(0, 2, 1, 3).reshape(bk, tk, d))
+        _accum(k, gk.transpose(0, 3, 1, 2).reshape(bk, tk, d))
+        _accum(q, gq.transpose(0, 2, 1, 3).reshape(b, tq, d))
+
+    return _make("attention", data, (q, k, v), bw)
+
+
+# -- convolutions ---------------------------------------------------------
 
 
 def conv1d_out_len(t: int, kernel: int, stride: int, padding: int) -> int:
@@ -490,9 +493,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor | None, padding: int = 0) -
     return _make("depthwise_conv1d", data, parents, bw)
 
 
-# ---------------------------------------------------------------------------
-# the finite-difference oracle
-# ---------------------------------------------------------------------------
+# -- the finite-difference oracle -----------------------------------------
 
 
 def finite_difference_check(f, x: Tensor, eps: float = 1e-6) -> float:
@@ -504,25 +505,21 @@ def finite_difference_check(f, x: Tensor, eps: float = 1e-6) -> float:
     """
     x = Tensor(np.asarray(x.data, dtype=np.float64), requires_grad=True)
     out = f(x)
+    if out.data.size != 1:
+        raise ShapeError(f"finite_difference_check: f must be scalar-valued, got {out.shape}")
     if not np.all(np.isfinite(out.data)):
         raise ValueError("finite_difference_check: f(x) is non-finite")
     backward(out)
     analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
-
-    def scalar(t):
-        arr = np.asarray(t.data)
-        if arr.size != 1:
-            raise ShapeError(f"finite_difference_check: f must be scalar-valued, got {arr.shape}")
-        return float(arr.reshape(-1)[0])
 
     flat = x.data.reshape(-1)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        fp = scalar(f(Tensor(x.data.copy())))
+        fp = float(f(Tensor(x.data.copy())).data.reshape(-1)[0])
         flat[i] = orig - eps
-        fm = scalar(f(Tensor(x.data.copy())))
+        fm = float(f(Tensor(x.data.copy())).data.reshape(-1)[0])
         flat[i] = orig
         numeric[i] = (fp - fm) / (2.0 * eps)
     numeric = numeric.reshape(x.shape)

@@ -14,7 +14,7 @@ from conformerst import decoding
 from conformerst.losses import ctc_forward, ctc_loss
 from conformerst.model import DecoderState, Model, ModelConfig
 from conformerst import numcore as nc
-from conformerst.textproc import ManifestEntry, build_vocab
+from conformerst.textproc import LANGS, ManifestEntry, build_vocab
 
 
 def rand_logprobs(t, v, seed=0):
@@ -115,6 +115,21 @@ class TestBeamSearch:
         if tokens[-1] != vocab.eos_id:  # length cap: decoder closes with eos
             tokens.append(vocab.eos_id)
         assert hyp.tokens == tokens
+
+    def test_beam1_tie_picks_the_argsort_token(self):
+        """A zeroed output projection makes every token's score tie; beam 1's
+        argmax keeps the argsort rule, the highest id that is not masked."""
+        model, vocab, enc = make_setup(seed=3)
+        model.params["dec.out.w"].data[...] = 0.0
+        model.params["dec.out.b"].data[...] = 0.0
+        cfg = DecodeConfig(beam=1, ctc_weight=0.0, no_repeat_ngram=0)
+        row = np.zeros(len(vocab))
+        row[vocab.unk_id] -= cfg.unk_penalty
+        row[[vocab.blank_id, vocab.pad_id, vocab.bos_id] + [vocab.lang_id(x) for x in LANGS]] = -np.inf
+        want = int(np.argsort(row, kind="stable")[::-1][0])
+        assert want != vocab.eos_id and (row == row[want]).sum() > 1
+        hyp = beam_search(model, vocab, enc, "it", cfg)[0]
+        assert hyp.tokens[2:] == [want] * (int(enc.lengths[0]) + 10) + [vocab.eos_id]
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_attention_scores_match_teacher_forcing(self, seed):

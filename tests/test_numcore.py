@@ -34,17 +34,45 @@ class TestShapes:
         with pytest.raises(nc.ShapeError):
             nc.conv1d(x, w, None, stride=0)
 
-    def test_softmax_rows_sum_to_one(self):
-        out = nc.softmax(nc.tensor(rand(4, 9, seed=3)))
-        assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
+    def test_attention_weights_sum_to_one(self):
+        """Values of all ones come out as ones: each query's weights sum to one."""
+        q, k = nc.tensor(rand(2, 4, 6, seed=3)), nc.tensor(rand(2, 9, 6, seed=4))
+        out = nc.attention(q, k, nc.tensor(np.ones((2, 9, 6))), 3, mask=KEY_MASK9)
+        assert np.allclose(out.data, 1.0, atol=1e-12)
+
+    def test_fused_shape_errors(self):
+        x, w = nc.tensor(rand(3, 6)), nc.tensor(rand(6, 4))
+        with pytest.raises(nc.ShapeError, match="bias"):
+            nc.matmul(x, w, nc.tensor(rand(6)))
+        with pytest.raises(nc.ShapeError, match="layer_norm"):
+            nc.layer_norm(x, nc.tensor(rand(4)))
+        q, kv = nc.tensor(rand(2, 3, 6)), nc.tensor(rand(3, 5, 6))
+        with pytest.raises(nc.ShapeError, match="attention"):
+            nc.attention(q, kv, kv, 2)  # key batch neither 1 nor the query batch
+        with pytest.raises(nc.ShapeError, match="attention"):
+            nc.attention(q, q, q, 4)  # 6 features do not split into 4 heads
 
     def test_strict_mode_rejects_nonfinite(self):
         nc.set_strict_mode(True)
         try:
             with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
                 nc.scale(nc.tensor([1e308]), 10.0)
+            with pytest.raises(ValueError, match="matmul: non-finite"), np.errstate(over="ignore"):
+                nc.matmul(nc.tensor([[1e200]]), nc.tensor([[1e200]]), nc.tensor([1.0]))
         finally:
             nc.set_strict_mode(False)
+
+    def test_no_finiteness_check_without_strict_mode(self, monkeypatch):
+        def isfinite(*args, **kwargs):
+            raise AssertionError("np.isfinite called with strict mode off")
+
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        x = nc.tensor(rand(2, 3, 6), requires_grad=True)
+        h = nc.layer_norm(nc.matmul(x, nc.tensor(rand(6, 6)), nc.tensor(rand(6))),
+                          nc.tensor(rand(6)), nc.tensor(rand(6)))
+        nc.backward(nc.sum_(nc.attention(h, h, h, 2)))
+        with nc.no_grad():
+            assert not nc.silu(x).requires_grad
 
 
 class TestBackward:
@@ -75,14 +103,9 @@ class TestBackward:
 OPS = {
     "silu": lambda x: nc.sum_(nc.silu(x)),
     "glu": lambda x: nc.sum_(nc.glu(x)),
-    "softmax": lambda x: nc.sum_(nc.mul(nc.softmax(x), nc.tensor(rand(3, 6, seed=9)))),
     "log_softmax": lambda x: nc.sum_(nc.mul(nc.log_softmax(x), nc.tensor(rand(3, 6, seed=9)))),
     "layer_norm": lambda x: nc.sum_(nc.mul(nc.layer_norm(x), nc.tensor(rand(3, 6, seed=9)))),
     "matmul": lambda x: nc.sum_(nc.matmul(x, nc.tensor(rand(6, 2, seed=4)))),
-    "mask_fill": lambda x: nc.sum_(
-        nc.mul(nc.softmax(nc.mask_fill(x, np.arange(6) >= 4, -1e30)), nc.tensor(rand(3, 6, seed=9)))
-    ),
-    "transpose": lambda x: nc.sum_(nc.mul(nc.transpose(x, (1, 0)), nc.tensor(rand(6, 3, seed=5)))),
 }
 
 
@@ -91,6 +114,75 @@ def test_op_gradients_match_finite_differences(name):
     x = nc.tensor(rand(3, 6, seed=17) * 0.7)
     err = nc.finite_difference_check(OPS[name], x, eps=1e-6)
     assert err <= 1e-5, f"{name}: {err}"
+
+
+# keys 7..8 of 9 hidden in row 0, key 8 in row 1 (B x 1 x 1 x Tk)
+KEY_MASK9 = (np.arange(9) >= np.array([7, 8])[:, None])[:, None, None, :]
+KEY_MASK = (np.arange(5) >= np.array([3, 5])[:, None])[:, None, None, :]  # row 0 sees 3 of 5 keys
+CAUSAL = (np.arange(4)[None, :] > np.arange(4)[:, None])[None, None]
+DRAWS = np.random.default_rng(30).random((2, 2, 3, 5))
+
+# fused op -> (inputs, function of the input tensors); each input's gradient is checked
+FUSED = {
+    "linear_2d": ({"x": rand(3, 6, seed=1), "w": rand(6, 4, seed=2), "b": rand(4, seed=3)},
+                  lambda a: nc.matmul(a["x"], a["w"], a["b"])),
+    "linear_3d": ({"x": rand(2, 3, 6, seed=1), "w": rand(6, 4, seed=2), "b": rand(4, seed=3)},
+                  lambda a: nc.matmul(a["x"], a["w"], a["b"])),
+    "layer_norm": ({"x": rand(2, 3, 6, seed=1), "gain": rand(6, seed=2), "bias": rand(6, seed=3)},
+                   lambda a: nc.layer_norm(a["x"], a["gain"], a["bias"])),
+    "attention_key_mask": ({"q": rand(2, 3, 8, seed=1), "k": rand(2, 5, 8, seed=2),
+                            "v": rand(2, 5, 8, seed=3)},
+                           lambda a: nc.attention(a["q"], a["k"], a["v"], 2, mask=KEY_MASK)),
+    "attention_causal": ({"q": rand(2, 4, 8, seed=1), "k": rand(2, 4, 8, seed=2),
+                          "v": rand(2, 4, 8, seed=3)},
+                         lambda a: nc.attention(a["q"], a["k"], a["v"], 2, mask=CAUSAL)),
+    "attention_dropout": ({"q": rand(2, 3, 8, seed=1), "k": rand(2, 5, 8, seed=2),
+                           "v": rand(2, 5, 8, seed=3)},
+                          lambda a: nc.attention(a["q"], a["k"], a["v"], 2, mask=KEY_MASK,
+                                                 rate=0.3, draws=DRAWS)),
+    "attention_shared_kv": ({"q": rand(3, 2, 8, seed=1), "k": rand(1, 5, 8, seed=2),
+                             "v": rand(1, 5, 8, seed=3)},
+                            lambda a: nc.attention(a["q"], a["k"], a["v"], 4, mask=KEY_MASK[:1])),
+}
+
+
+@pytest.mark.parametrize("op,var", [(op, var) for op in FUSED for var in FUSED[op][0]])
+def test_fused_op_gradients_match_finite_differences(op, var):
+    args, fn = FUSED[op]
+    out_shape = fn({k: nc.tensor(v) for k, v in args.items()}).shape
+    weights = nc.tensor(rand(*out_shape, seed=9))
+
+    def f(value):
+        a = {k: nc.tensor(v) for k, v in args.items()}
+        a[var] = value
+        return nc.sum_(nc.mul(fn(a), weights))
+
+    # eps 1e-5: at 1e-6 the rounding of f (about 1e-16 / eps) is 4e-5 of the
+    # smallest key gradient (1e-5) of attention_key_mask
+    err = nc.finite_difference_check(f, nc.tensor(args[var] * 0.7), eps=1e-5)
+    assert err <= 1e-5, (op, var, err)
+
+
+def test_attention_matches_per_head_reference():
+    """Each head attends with its own slice of the features, a hidden key gets
+    no weight, dropout scales the kept weights, and K/V of batch 1 serve every
+    query row."""
+    q, k, v = rand(3, 4, 8, seed=1), rand(1, 5, 8, seed=2), rand(1, 5, 8, seed=3)
+    key_draws = DRAWS[0, 0, 0]  # one draw per key, the same for every head and query
+    for heads in (1, 4):
+        draws = np.ascontiguousarray(np.broadcast_to(key_draws, (3, heads, 4, 5)))
+        got = nc.attention(nc.tensor(q), nc.tensor(k), nc.tensor(v), heads,
+                           mask=(np.arange(5) >= 4)[None, None, None], rate=0.3, draws=draws)
+        dh = 8 // heads
+        want = np.zeros((3, 4, 8))
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            s = q[:, :, cols] @ k[0, :, cols].T / np.sqrt(dh)
+            s[:, :, 4] = -np.inf
+            w = np.exp(s - s.max(axis=-1, keepdims=True))
+            w = w / w.sum(axis=-1, keepdims=True) * (key_draws >= 0.3) / 0.7
+            want[:, :, cols] = w @ v[0, :, cols]
+        assert np.abs(got.data - want).max() <= 1e-12, heads
 
 
 def test_conv_gradients():
@@ -164,10 +256,14 @@ def test_embedding_gradient_scatter():
 
 
 def test_masked_positions_zero_grad():
-    x = nc.tensor(rand(4), requires_grad=True)
-    out = nc.mask_fill(x, np.array([False, True, False, True]), 0.0)
-    nc.backward(nc.sum_(nc.mul(out, out)))
-    assert x.grad[1] == 0.0 and x.grad[3] == 0.0
+    """Hidden keys get no weight, so their keys and values get zero gradient."""
+    q = nc.tensor(rand(2, 3, 8, seed=1), requires_grad=True)
+    k = nc.tensor(rand(2, 5, 8, seed=2), requires_grad=True)
+    v = nc.tensor(rand(2, 5, 8, seed=3), requires_grad=True)
+    nc.backward(nc.sum_(nc.mul(nc.attention(q, k, v, 2, mask=KEY_MASK), nc.tensor(rand(2, 3, 8)))))
+    for t in (k, v):
+        assert not t.grad[0, 3:].any() and not t.grad[1, 5:].any()
+        assert np.all(t.grad[0, :3] != 0) and np.all(t.grad[1] != 0)
 
 
 def test_determinism():

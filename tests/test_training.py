@@ -399,6 +399,25 @@ class TestBatchedStep:
         with pytest.raises(ValueError, match="row_dropout"):
             batch_losses(model, vocab, entries[:1], cache)
 
+    def test_tape_size_of_a_desk_micro_batch(self, mixed_corpus):
+        """The fused numcore nodes keep one desk-config training micro-batch's
+        tape (the nodes reachable from its objective) at most 140 nodes."""
+        entries, vocab = mixed_corpus
+        cache = FeatureCache()
+        model = Model(ModelConfig(vocab_size=len(vocab), enc_layers=2, dec_layers=1, d_model=32,
+                                  heads=4, d_ffn=64, conv_kernel=7, dropout=0.1))
+        model.training = True
+        with model.row_dropout([np.random.default_rng([1, i]) for i in range(len(entries))]):
+            outputs = forward_batch(model, vocab, entries, [cache(e) for e in entries], "ASR")
+        _, objective = combined_loss(outputs, LossWeights())
+        nodes, stack = set(), [objective]
+        while stack:
+            t = stack.pop()
+            if t._parents and id(t) not in nodes:
+                nodes.add(id(t))
+                stack.extend(t._parents)
+        assert len(nodes) <= 140
+
     def test_metrics_count_utterances_frames_and_tokens(self, mixed_corpus, tmp_path):
         entries, vocab = mixed_corpus
         cache = FeatureCache()
