@@ -119,12 +119,8 @@ def beam_search(model, vocab, enc, tgt_lang: str, cfg: DecodeConfig):
             # every continuation masked: force eos at the beam's own score
             # rather than deadlock
             scores[~np.isfinite(scores).any(axis=1), vocab.eos_id] = 0.0
-            # per row: descending, the higher id first among ties (at beam 1,
-            # the first maximum of the reversed row: O(V), not O(V log V))
-            if cfg.beam == 1:
-                top = scores.shape[1] - 1 - scores[:, ::-1].argmax(axis=1)[:, None]
-            else:
-                top = np.argsort(scores, axis=1, kind="stable")[:, ::-1][:, : cfg.beam]
+            # per row: descending, the higher id first among ties
+            top = np.argsort(scores, axis=1, kind="stable")[:, ::-1][:, : cfg.beam]
             top_scores = scores[np.arange(len(beams))[:, None], top]
             rows, ranks = np.nonzero(np.isfinite(top_scores))  # row-major candidate order
             totals = np.array([b.attn_logp for b in beams])[rows] + top_scores[rows, ranks]

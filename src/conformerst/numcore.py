@@ -15,12 +15,19 @@ split, scaled QK^T, key mask, softmax, dropout, times V, head merge).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["Tensor", "ShapeError", "GraphError", "tensor", "backward",
-           "finite_difference_check", "set_strict_mode", "no_grad"]
+__all__ = [
+    "Tensor",
+    "ShapeError",
+    "GraphError",
+    "tensor",
+    "backward",
+    "finite_difference_check",
+    "set_strict_mode",
+    "no_grad",
+]
 
 
 class ShapeError(ValueError):
@@ -43,15 +50,19 @@ def set_strict_mode(enabled: bool) -> None:
     _STRICT_MODE = bool(enabled)
 
 
-@contextmanager
-def no_grad():
-    """Within this block no op records a tape node (inference mode)."""
-    global _GRAD_ENABLED
-    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+class no_grad:
+    """Context manager that disables tape recording (inference mode)."""
+
+    def __enter__(self):
+        global _GRAD_ENABLED
+        self._prev = _GRAD_ENABLED
+        _GRAD_ENABLED = False
+        return self
+
+    def __exit__(self, *exc):
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._prev
+        return False
 
 
 class Tensor:
@@ -61,7 +72,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if arr.dtype not in _FLOATS:
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         # ascontiguousarray would promote 0-d arrays to 1-d; keep them 0-d
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
@@ -71,15 +82,28 @@ class Tensor:
         self._backward = None
         self._consumed = False
 
-    shape = property(lambda self: self.data.shape)
-    dtype = property(lambda self: self.data.dtype)
-    ndim = property(lambda self: self.data.ndim)
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
+
+    @property
+    def ndim(self):
+        return self.data.ndim
+
+    @property
+    def size(self):
+        return self.data.size
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-tensor = Tensor
+def tensor(data, requires_grad=False):
+    return Tensor(data, requires_grad=requires_grad)
 
 
 def _make(op, data, parents, backward_fn):
@@ -149,9 +173,12 @@ def backward(out: Tensor, seed=None):
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
-    seed = np.ones_like(out.data) if seed is None else np.asarray(seed, dtype=out.data.dtype)
-    if seed.shape != out.data.shape:
-        raise ShapeError(f"backward: seed shape {seed.shape} != output shape {out.data.shape}")
+    if seed is None:
+        seed = np.ones_like(out.data)
+    else:
+        seed = np.asarray(seed, dtype=out.data.dtype)
+        if seed.shape != out.data.shape:
+            raise ShapeError(f"backward: seed shape {seed.shape} != output shape {out.data.shape}")
     out.grad = seed
     for node in reversed(topo):
         node._consumed = True
@@ -160,7 +187,9 @@ def backward(out: Tensor, seed=None):
             node.grad = None  # an interior gradient is spent once passed to the parents
 
 
-# -- elementwise and structural ops ---------------------------------------
+# ---------------------------------------------------------------------------
+# elementwise and structural ops
+# ---------------------------------------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -222,15 +251,18 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape))
+        if axis is None:
+            _accum(a, np.broadcast_to(g, a.shape))
+        else:
+            if not keepdims:
+                g = np.expand_dims(g, axis)
+            _accum(a, np.broadcast_to(g, a.shape))
 
     return _make("sum", data, (a,), bw)
 
 
 def mean_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
+    n = a.size if axis is None else a.shape[axis]
     return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -259,24 +291,30 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 def silu(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # exp overflow saturates sig to 0 exactly
         sig = 1.0 / (1.0 + np.exp(-a.data))
+    data = a.data * sig
 
     def bw(g):
         _accum(a, g * (sig * (1.0 + a.data * (1.0 - sig))))
 
-    return _make("silu", a.data * sig, (a,), bw)
+    return _make("silu", data, (a,), bw)
 
 
 def glu(a: Tensor, axis=-1) -> Tensor:
     """Gated linear unit: split `a` in half along `axis`, first * sigmoid(second)."""
-    if a.shape[axis] % 2:
-        raise ShapeError(f"glu: axis extent {a.shape[axis]} of shape {a.shape} is odd")
+    n = a.shape[axis]
+    if n % 2 != 0:
+        raise ShapeError(f"glu: axis extent {n} of shape {a.shape} is odd")
+    half = n // 2
     x, gate = np.split(a.data, 2, axis=axis)
     sig = 1.0 / (1.0 + np.exp(-gate))
+    data = x * sig
 
     def bw(g):
-        _accum(a, np.concatenate([g * sig, g * x * sig * (1.0 - sig)], axis=axis))
+        gx = g * sig
+        gg = g * x * sig * (1.0 - sig)
+        _accum(a, np.concatenate([gx, gg], axis=axis))
 
-    return _make("glu", x * sig, (a,), bw)
+    return _make("glu", data, (a,), bw)
 
 
 def log_softmax(a: Tensor, axis=-1) -> Tensor:
@@ -325,8 +363,10 @@ def embedding(weight: Tensor, ids) -> Tensor:
     """Row lookup; ids is an integer array, output shape ids.shape + (d,)."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
-        raise ShapeError(f"embedding: id out of range for table {weight.shape} "
-                         f"(ids span [{ids.min()}, {ids.max()}])")
+        raise ShapeError(
+            f"embedding: id out of range for table {weight.shape} (ids span "
+            f"[{ids.min()}, {ids.max()}])"
+        )
     data = weight.data[ids]
 
     def bw(g):
@@ -343,13 +383,14 @@ def gather_index(a: Tensor, ids) -> Tensor:
     if a.ndim != 2 or ids.shape != (a.shape[0],):
         raise ShapeError(f"gather_index: got {a.shape} with ids {ids.shape}")
     rows = np.arange(a.shape[0])
+    data = a.data[rows, ids]
 
     def bw(g):
         ga = np.zeros_like(a.data)
         ga[rows, ids] = g
         _accum(a, ga)
 
-    return _make("gather_index", a.data[rows, ids], (a,), bw)
+    return _make("gather_index", data, (a,), bw)
 
 
 def _keep(op, rate, draws, shape, dtype):
@@ -415,7 +456,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask=None, rate: floa
     return _make("attention", data, (q, k, v), bw)
 
 
-# -- convolutions ---------------------------------------------------------
+# ---------------------------------------------------------------------------
+# convolutions
+# ---------------------------------------------------------------------------
 
 
 def conv1d_out_len(t: int, kernel: int, stride: int, padding: int) -> int:
@@ -493,7 +536,9 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor | None, padding: int = 0) -
     return _make("depthwise_conv1d", data, parents, bw)
 
 
-# -- the finite-difference oracle -----------------------------------------
+# ---------------------------------------------------------------------------
+# the finite-difference oracle
+# ---------------------------------------------------------------------------
 
 
 def finite_difference_check(f, x: Tensor, eps: float = 1e-6) -> float:
@@ -505,21 +550,25 @@ def finite_difference_check(f, x: Tensor, eps: float = 1e-6) -> float:
     """
     x = Tensor(np.asarray(x.data, dtype=np.float64), requires_grad=True)
     out = f(x)
-    if out.data.size != 1:
-        raise ShapeError(f"finite_difference_check: f must be scalar-valued, got {out.shape}")
     if not np.all(np.isfinite(out.data)):
         raise ValueError("finite_difference_check: f(x) is non-finite")
     backward(out)
     analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
+
+    def scalar(t):
+        arr = np.asarray(t.data)
+        if arr.size != 1:
+            raise ShapeError(f"finite_difference_check: f must be scalar-valued, got {arr.shape}")
+        return float(arr.reshape(-1)[0])
 
     flat = x.data.reshape(-1)
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        fp = float(f(Tensor(x.data.copy())).data.reshape(-1)[0])
+        fp = scalar(f(Tensor(x.data.copy())))
         flat[i] = orig - eps
-        fm = float(f(Tensor(x.data.copy())).data.reshape(-1)[0])
+        fm = scalar(f(Tensor(x.data.copy())))
         flat[i] = orig
         numeric[i] = (fp - fm) / (2.0 * eps)
     numeric = numeric.reshape(x.shape)

@@ -117,8 +117,8 @@ class TestBeamSearch:
         assert hyp.tokens == tokens
 
     def test_beam1_tie_picks_the_argsort_token(self):
-        """A zeroed output projection makes every token's score tie; beam 1's
-        argmax keeps the argsort rule, the highest id that is not masked."""
+        """A zeroed output projection makes every token's score tie; beam 1
+        picks by the stable argsort rule, the highest id that is not masked."""
         model, vocab, enc = make_setup(seed=3)
         model.params["dec.out.w"].data[...] = 0.0
         model.params["dec.out.b"].data[...] = 0.0
