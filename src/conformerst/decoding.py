@@ -149,14 +149,15 @@ def beam_search(model, vocab, enc, tgt_lang: str, cfg: DecodeConfig):
 
 def decode_entries(model, vocab, entries, cache, cfg: DecodeConfig, task: str) -> list:
     """Best-hypothesis text of each manifest entry: features from `cache`,
-    encoder, beam search. Every entry is checked for the task's target
-    before any is decoded."""
+    encoder, beam search, all without a tape. Every entry is checked for the
+    task's target before any is decoded."""
     entries = list(entries)
     langs = [task_fields(entry, task)[1] for entry in entries]
     texts = []
     for entry, lang in zip(entries, langs):
         feats = cache(entry)
-        enc = model.encode(feats[None], [feats.shape[0]])
+        with nc.no_grad():
+            enc = model.encode(feats[None], [feats.shape[0]])
         best = beam_search(model, vocab, enc, lang, cfg)[0]
         texts.append(decode_ids(best.text_tokens(vocab), vocab))
     return texts

@@ -1,12 +1,14 @@
 """Training objectives: label-smoothed cross-entropy, CTC, and their
 weighted combination over a padded batch.
 
-All CTC goes through one log-space forward(-backward) lattice over the
-blank-augmented label sequences (`ctc_lattice`), vectorized over rows and
-extended-label states with masks for each row's frames and labels; the loss,
-`ctc_forward` and the decoder's prefix scores and rescoring all use it. The
-batched loss returns per-row values as a single tape node whose gradient
-w.r.t. the input log-probabilities is the analytic occupancy.
+All CTC goes through one log-space recursion over the blank-augmented label
+sequences (`_alpha`), vectorized over rows and extended-label states with
+masks for each row's frames and labels. `ctc_lattice` runs it forward for the
+loss and the decoder's rescoring; the loss's backward variables are the same
+recursion run on each row's time- and state-reversed lattice. The batched
+loss returns per-row values as a single tape node whose gradient w.r.t. the
+input log-probabilities is the analytic occupancy, and the smoothed
+cross-entropy is one tape node as well.
 """
 
 from __future__ import annotations
@@ -58,12 +60,13 @@ def loss_total(weights: LossWeights, ce: float, ctc_src: float, ctc_tgt: float) 
 
 
 def label_smoothed_ce(logprobs: Tensor, targets, smoothing: float, pad_id: int | None = None) -> Tensor:
-    """Mean per-token smoothed NLL.
+    """Mean per-token smoothed NLL, one tape node.
 
     logprobs: N x V log-softmax rows with N integer target ids, giving the
     scalar mean; or B x N x V with B x N targets, giving the B per-row means
     (each row's own token mean). Positions equal to pad_id are excluded from
-    the means.
+    the means. Each token costs -(1 - smoothing) times its target's log-prob
+    minus smoothing times the mean log-prob over the V classes.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logprobs.ndim not in (2, 3) or targets.shape != logprobs.shape[:-1]:
@@ -73,16 +76,25 @@ def label_smoothed_ce(logprobs: Tensor, targets, smoothing: float, pad_id: int |
     count = mask.sum(axis=-1)
     if np.any(count == 0):
         raise ValueError("label_smoothed_ce: all positions are padding")
-    flat = nc.reshape(logprobs, (-1, v)) if logprobs.ndim == 3 else logprobs
-    safe_targets = np.where(mask > 0, targets, 0).reshape(-1)
-    picked = nc.gather_index(flat, safe_targets)  # B*N
-    uniform = nc.mean_(flat, axis=1)  # B*N
-    per_tok = nc.add(nc.scale(picked, -(1.0 - smoothing)), nc.scale(uniform, -smoothing))
-    weighted = nc.mul(per_tok, nc.tensor(mask.reshape(-1).astype(logprobs.dtype)))
-    if logprobs.ndim == 2:
-        return nc.scale(nc.sum_(weighted), 1.0 / count)
-    rows = nc.sum_(nc.reshape(weighted, targets.shape), axis=1)
-    return nc.mul(rows, nc.tensor(1.0 / count))
+    inv_count = 1.0 / count
+    mask = mask.astype(logprobs.dtype)
+    safe = np.where(mask > 0, targets, 0)[..., None]
+    lp = logprobs.data
+    picked = np.take_along_axis(lp, safe, axis=-1)[..., 0]
+    uniform = lp.sum(axis=-1) * (1.0 / v)
+    per_tok = picked * -(1.0 - smoothing) + uniform * -smoothing
+    data = (per_tok * mask).sum(axis=-1) * inv_count
+
+    def bw(g):
+        # one factor at a time in the log-probs' dtype, in this order: the
+        # gradient is then bit-identical to these steps as separate numcore ops
+        g_tok = (g * inv_count).astype(lp.dtype)[..., None] * mask
+        g_uniform = g_tok * -smoothing * (1.0 / v)
+        grad = np.repeat(g_uniform[..., None], v, axis=-1)
+        np.put_along_axis(grad, safe, (g_tok * -(1.0 - smoothing) + g_uniform)[..., None], axis=-1)
+        nc._accum(logprobs, grad)
+
+    return nc._make("label_smoothed_ce", data, (logprobs,), bw)
 
 
 def ctc_feasible(num_frames: int, target) -> bool:
@@ -94,21 +106,41 @@ def ctc_feasible(num_frames: int, target) -> bool:
 class Lattice(NamedTuple):
     log_p: np.ndarray  # R: log P(target | frames), -inf if the target cannot fit
     alpha: np.ndarray  # R x T x S log forward variables (emission included)
-    beta: np.ndarray | None  # R x T x S log backward variables (emission included)
     emit: np.ndarray  # R x T x S emission log-probs, -inf at padded states
     ext: np.ndarray  # R x S extended label ids (blank-interleaved, blank-padded)
+    s_len: np.ndarray  # R extended-sequence lengths (2 * len(target) + 1)
 
 
-def ctc_lattice(logp: np.ndarray, targets, lengths, blank: int = BLANK_ID,
-                with_beta: bool = False) -> Lattice:
-    """The CTC forward(-backward) recursion (Graves et al., 2006), vectorized
-    over rows and extended-label states; the only one in the package.
+def _skip(ext: np.ndarray, blank: int) -> np.ndarray:
+    """R x S: 0 where the two-state skip into s is allowed, -inf where it is not."""
+    skip = np.full(ext.shape, NEG_INF)
+    skip[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+    return skip
+
+
+def _alpha(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """The CTC recursion (Graves et al., 2006) over R x T x S emission
+    log-probs, vectorized over rows and states; the only one in the package.
+    Every row starts in its first two states at frame 0."""
+    rows, t_max, s_max = emit.shape
+    alpha = np.full(emit.shape, NEG_INF)
+    alpha[:, 0, :2] = emit[:, 0, :2]
+    prev = np.full((rows, s_max + 2), NEG_INF)  # two -inf states on the left
+    for t in range(1, t_max):
+        prev[:, 2:] = alpha[:, t - 1]
+        alpha[:, t] = (np.logaddexp(np.logaddexp(prev[:, 2:], prev[:, 1:-1]), prev[:, :-2] + skip)
+                       + emit[:, t])
+    return alpha
+
+
+def ctc_lattice(logp: np.ndarray, targets, lengths, blank: int = BLANK_ID) -> Lattice:
+    """The CTC forward variables and sequence log-likelihoods of R rows.
 
     logp: R x T x V frame log-probs (a broadcast view is fine); targets: R
     label sequences without blanks; lengths: R valid frame counts (frames
     past a row's length are ignored). Row r's extended sequence is blank,
     l1, blank, ..., blank, right-padded to the longest row with states whose
-    emission is -inf. beta is computed only when with_beta is set.
+    emission is -inf.
     """
     rows, t_max, _ = logp.shape
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -124,42 +156,31 @@ def ctc_lattice(logp: np.ndarray, targets, lengths, blank: int = BLANK_ID,
     valid = np.arange(s_max)[None, :] < s_len[:, None]
     emit = np.take_along_axis(logp, ext[:, None, :], axis=2).astype(np.float64)
     emit[~np.broadcast_to(valid[:, None, :], emit.shape)] = NEG_INF
-    # 0 where the two-state skip into s is allowed, -inf where it is not
-    skip = np.full((rows, s_max), NEG_INF)
-    skip[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
-
-    alpha = np.full((rows, t_max, s_max), NEG_INF)
-    alpha[:, 0, :2] = emit[:, 0, :2]
-    prev = np.full((rows, s_max + 2), NEG_INF)  # two -inf states on the left
-    for t in range(1, t_max):
-        prev[:, 2:] = alpha[:, t - 1]
-        alpha[:, t] = (np.logaddexp(np.logaddexp(prev[:, 2:], prev[:, 1:-1]), prev[:, :-2] + skip)
-                       + emit[:, t])
-    r_idx = np.arange(rows)
-    last = lengths - 1
+    alpha = _alpha(emit, _skip(ext, blank))
     ends = valid & (np.arange(s_max)[None, :] >= s_len[:, None] - 2)  # final blank and label
-    log_p = np.logaddexp.reduce(np.where(ends, alpha[r_idx, last], NEG_INF), axis=1)
-    if not with_beta:
-        return Lattice(log_p, alpha, None, emit, ext)
-
-    # a row's beta starts at its own last frame; later frames stay -inf
-    init = np.where(ends, emit[r_idx, last], NEG_INF)
-    fskip = np.full((rows, s_max), NEG_INF)  # skip from s to s + 2
-    fskip[:, :-2] = skip[:, 2:]
-    beta = np.full((rows, t_max, s_max), NEG_INF)
-    nxt = np.full((rows, s_max + 2), NEG_INF)  # two -inf states on the right
-    for t in range(t_max - 1, -1, -1):
-        if t + 1 < t_max:
-            nxt[:, :-2] = beta[:, t + 1]
-        rec = np.logaddexp(np.logaddexp(nxt[:, :-2], nxt[:, 1:-1]), nxt[:, 2:] + fskip) + emit[:, t]
-        beta[:, t] = np.where((last == t)[:, None], init, rec)
-    return Lattice(log_p, alpha, beta, emit, ext)
+    log_p = np.logaddexp.reduce(np.where(ends, alpha[np.arange(rows), lengths - 1], NEG_INF), axis=1)
+    return Lattice(log_p, alpha, emit, ext, s_len)
 
 
-def ctc_forward(logp: np.ndarray, target, blank: int = BLANK_ID) -> float:
-    """Log-likelihood log P(target | logp) of one T x V sequence."""
-    logp = np.asarray(logp)
-    return float(ctc_lattice(logp[None], [target], [logp.shape[0]], blank).log_p[0])
+def _beta(lat: Lattice, lengths: np.ndarray, blank: int) -> np.ndarray:
+    """R x T x S log backward variables (emission included): the forward
+    recursion run on each row's time- and state-reversed emissions and
+    extended labels, read back in reverse. -inf past a row's last frame and
+    at padded states."""
+    rows, t_max, s_max = lat.emit.shape
+    t = lengths[:, None] - 1 - np.arange(t_max)  # < 0 past the last frame
+    s = lat.s_len[:, None] - 1 - np.arange(s_max)  # < 0 at padded states
+    outside = (t < 0)[:, :, None] | (s < 0)[:, None, :]
+    # flat index of each row's reversed (frame, state), wrapped where outside
+    idx = ((np.arange(rows)[:, None] * t_max + t % t_max) * s_max)[:, :, None] + (s % s_max)[:, None, :]
+
+    def flip(x):  # its own inverse on each row's frames and states
+        out = x.take(idx)
+        out[outside] = NEG_INF  # in place: np.where's second R x T x S array cost 3x more
+        return out
+
+    ext = np.where(s < 0, blank, np.take_along_axis(lat.ext, s % s_max, axis=1))
+    return flip(_alpha(flip(lat.emit), _skip(ext, blank)))
 
 
 def ctc_loss(logprobs: Tensor, target, input_len=None, blank: int = BLANK_ID) -> Tensor:
@@ -175,14 +196,15 @@ def ctc_loss(logprobs: Tensor, target, input_len=None, blank: int = BLANK_ID) ->
     batched = logprobs.ndim == 3
     logp = logprobs.data if batched else logprobs.data[None]
     rows, t_max, v = logp.shape
-    lengths = np.full(rows, t_max) if input_len is None else np.reshape(input_len, -1)
-    lat = ctc_lattice(logp, target if batched else [target], lengths, blank, with_beta=True)
+    lengths = np.full(rows, t_max) if input_len is None else np.asarray(input_len, np.int64).reshape(-1)
+    lat = ctc_lattice(logp, target if batched else [target], lengths, blank)
     loss_val = -lat.log_p
 
     def bw(g):
         # d(-logP)/dlogp[r,t,k] = -sum_{s: ext[r,s]=k} exp(alpha+beta-emit-logP)
+        beta = _beta(lat, lengths, blank)
         with np.errstate(invalid="ignore"):
-            occ = lat.alpha + lat.beta - lat.emit - lat.log_p[:, None, None]
+            occ = lat.alpha + beta - lat.emit - lat.log_p[:, None, None]
             w = np.where(np.isnan(occ), 0.0, np.exp(occ))  # nan: padded state
         w[~np.isfinite(lat.log_p)] = 0.0
         onehot = np.zeros((rows, lat.ext.shape[1], v))

@@ -94,10 +94,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -227,15 +223,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make("scale", data, (a,), bw)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        _accum(a, g.reshape(a.shape))
-
-    return _make("reshape", data, (a,), bw)
-
-
 def concat(tensors, axis=0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
@@ -259,11 +246,6 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
             _accum(a, np.broadcast_to(g, a.shape))
 
     return _make("sum", data, (a,), bw)
-
-
-def mean_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -375,22 +357,6 @@ def embedding(weight: Tensor, ids) -> Tensor:
         _accum(weight, gw)
 
     return _make("embedding", data, (weight,), bw)
-
-
-def gather_index(a: Tensor, ids) -> Tensor:
-    """a: N x V, ids: N -> N values a[i, ids[i]]."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if a.ndim != 2 or ids.shape != (a.shape[0],):
-        raise ShapeError(f"gather_index: got {a.shape} with ids {ids.shape}")
-    rows = np.arange(a.shape[0])
-    data = a.data[rows, ids]
-
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[rows, ids] = g
-        _accum(a, ga)
-
-    return _make("gather_index", data, (a,), bw)
 
 
 def _keep(op, rate, draws, shape, dtype):

@@ -26,7 +26,7 @@ from conformerst.losses import (
     LossWeights,
     ctc_brute_force,
     ctc_feasible,
-    ctc_forward,
+    ctc_lattice,
     ctc_loss,
     label_smoothed_ce,
     loss_total,
@@ -154,7 +154,7 @@ def test_criterion_02_gradient_checks():
         def loss_from_features(x):
             enc = m.encode(x, [12])
             dec = m.decode_step(enc, np.array([[3, 4, 2]]))
-            ctc = ctc_loss(nc.reshape(m.ctc_head(enc.states, "src-tap"), (3, 6)), [2, 1])
+            ctc = nc.sum_(ctc_loss(m.ctc_head(enc.states, "src-tap"), [[2, 1]]))
             return nc.add(nc.sum_(nc.mul(dec, nc.tensor(wdec))), ctc)
 
         # central differences at 1e-6 are roundoff-dominated end to end
@@ -249,7 +249,7 @@ def test_criterion_07_decoding_invariants():
             logp = rand_logprobs(6, 4, rng)
             for target in ([1], [2, 1], [3, 2, 3]):
                 want = -float(ctc_loss(nc.tensor(logp), target).data)
-                assert abs(ctc_forward(logp, target) - want) <= 1e-9
+                assert abs(ctc_lattice(logp[None], [target], [6]).log_p[0] - want) <= 1e-9
 
 
 def test_criterion_08_padding_batch_invariance():

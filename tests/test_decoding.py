@@ -11,10 +11,11 @@ from conformerst.decoding import (
     joint_rescore,
 )
 from conformerst import decoding
-from conformerst.losses import ctc_forward, ctc_loss
+from conformerst.losses import ctc_lattice, ctc_loss
 from conformerst.model import DecoderState, Model, ModelConfig
 from conformerst import numcore as nc
 from conformerst.textproc import LANGS, ManifestEntry, build_vocab
+from conformerst.textproc import decode as decode_ids
 
 
 def rand_logprobs(t, v, seed=0):
@@ -32,14 +33,14 @@ class TestCtcPrefixScore:
 
     def test_infeasible_repeat(self):
         # "aa" needs at least 3 frames (a blank a); one or two cannot carry it
-        assert ctc_forward(rand_logprobs(1, 3), [1, 1]) == -np.inf
-        assert ctc_forward(rand_logprobs(2, 3), [1, 1]) == -np.inf
+        assert ctc_lattice(rand_logprobs(1, 3)[None], [[1, 1]], [1]).log_p[0] == -np.inf
+        assert ctc_lattice(rand_logprobs(2, 3)[None], [[1, 1]], [2]).log_p[0] == -np.inf
 
     def test_complete_matches_negated_ctc_loss(self):
         logp = rand_logprobs(6, 4, seed=1)
         for target in ([1], [2, 1], [1, 1], [3, 2, 3]):
             want = -float(ctc_loss(nc.tensor(logp), target).data)
-            assert abs(ctc_forward(logp, target) - want) <= 1e-9
+            assert abs(ctc_lattice(logp[None], [target], [6]).log_p[0] - want) <= 1e-9
 
 
 class TestNgramBlocking:
@@ -190,6 +191,29 @@ def test_decode_entries_rejects_entry_without_translation():
 
     with pytest.raises(ValueError, match="missing.wav has no translation"):
         decode_entries(model, vocab, [bare], cache, DecodeConfig(), "ST")
+
+
+def test_decode_entries_encodes_without_a_tape(monkeypatch):
+    model, vocab, _ = make_setup(seed=3)
+    entries = [ManifestEntry(audio=f"u{i}.wav", duration_s=1.0, src_lang="en", transcript="ab")
+               for i in range(2)]
+    feats = {e.audio: np.random.default_rng(i).standard_normal((40, 80)) * 0.5
+             for i, e in enumerate(entries)}
+    cfg = DecodeConfig()
+    seen = []
+
+    def spy(model, vocab, enc, lang, cfg):
+        seen.append(enc.states)
+        return beam_search(model, vocab, enc, lang, cfg)
+
+    monkeypatch.setattr(decoding, "beam_search", spy)
+    texts = decode_entries(model, vocab, entries, lambda e: feats[e.audio], cfg, "ASR")
+    assert [(s.requires_grad, s._parents) for s in seen] == [(False, ())] * len(entries)
+    # the same texts as an encoder that records a tape
+    taped = [model.encode(feats[e.audio][None], [40]) for e in entries]
+    assert taped[0].states._parents
+    assert texts == [decode_ids(beam_search(model, vocab, enc, "en", cfg)[0].text_tokens(vocab), vocab)
+                     for enc in taped]
 
 
 class TestJointRescore:

@@ -10,7 +10,7 @@ from conformerst.losses import (
     combined_loss,
     ctc_brute_force,
     ctc_feasible,
-    ctc_forward,
+    ctc_lattice,
     ctc_loss,
     label_smoothed_ce,
     loss_total,
@@ -70,6 +70,18 @@ class TestLabelSmoothedCE:
 
         x = nc.tensor(np.random.default_rng(5).standard_normal((3, 4)))
         assert nc.finite_difference_check(f, x) <= 1e-6
+
+    def test_batched_gradient_with_padding_and_row_weights(self):
+        # rows of different lengths that end in pad_id, each row weighted
+        targets = np.array([[1, 3, 0, 2], [4, 2, 9, 9], [0, 9, 9, 9]])
+        weights = nc.tensor(np.array([1.0, 0.5, 2.0]))
+
+        def f(x):
+            rows = label_smoothed_ce(nc.log_softmax(x), targets, 0.1, pad_id=9)
+            return nc.sum_(nc.mul(rows, weights))
+
+        x = nc.tensor(np.random.default_rng(6).standard_normal((3, 4, 10)))
+        assert nc.finite_difference_check(f, x) <= 1e-5
 
 
 class TestCTC:
@@ -134,7 +146,8 @@ class TestCTC:
 
     def test_ctc_forward_equals_loss(self):
         lp = random_logprobs(5, 4, 11)
-        assert abs(ctc_forward(lp, [3, 1]) + float(ctc_loss(nc.tensor(lp), [3, 1]).data)) < 1e-12
+        assert abs(ctc_lattice(lp[None], [[3, 1]], [5]).log_p[0]
+                   + float(ctc_loss(nc.tensor(lp), [3, 1]).data)) < 1e-12
 
 
 def padded_batch(rows, v, seed):

@@ -278,15 +278,6 @@ def test_fd_check_exact_for_sum():
     assert nc.finite_difference_check(lambda t: nc.sum_(t), x) <= 1e-8
 
 
-def test_fd_check_log_softmax_pick():
-    x = nc.tensor(rand(1, 5, seed=21))
-
-    def f(t):
-        return nc.sum_(nc.gather_index(nc.log_softmax(t), np.array([2])))
-
-    assert nc.finite_difference_check(f, x) <= 1e-6
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_layer_norm_equals_mean_formulation(dtype):
     """layer_norm's reductions give the same bits as the ndarray.mean form."""

@@ -401,7 +401,7 @@ class TestBatchedStep:
 
     def test_tape_size_of_a_desk_micro_batch(self, mixed_corpus):
         """The fused numcore nodes keep one desk-config training micro-batch's
-        tape (the nodes reachable from its objective) at most 140 nodes."""
+        tape (the nodes reachable from its objective) at most 125 nodes."""
         entries, vocab = mixed_corpus
         cache = FeatureCache()
         model = Model(ModelConfig(vocab_size=len(vocab), enc_layers=2, dec_layers=1, d_model=32,
@@ -416,7 +416,7 @@ class TestBatchedStep:
             if t._parents and id(t) not in nodes:
                 nodes.add(id(t))
                 stack.extend(t._parents)
-        assert len(nodes) <= 140
+        assert len(nodes) <= 125
 
     def test_metrics_count_utterances_frames_and_tokens(self, mixed_corpus, tmp_path):
         entries, vocab = mixed_corpus
