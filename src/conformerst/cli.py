@@ -291,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--task", choices=("ASR", "ST"), default="ST")
-    p.add_argument("--batch-size", type=int, default=1)
+    p.add_argument("--batch-size", type=int, default=1,
+                   help="manifest entries per timed call; each utterance is still "
+                        "decoded on its own")
     _add_decode_flags(p)
     p.set_defaults(func=cmd_bench)
 

@@ -118,7 +118,9 @@ def xrtf_bench(model, vocab, entries, cache: FeatureCache, batch_size: int = 1,
     Timing covers feature extraction through decoding; file reads happen
     before the clock starts, and the first batch is re-run untimed as a
     warm-up. `sleep_per_batch` injects artificial per-batch latency for
-    timing self-tests.
+    timing self-tests. `batch_size` groups that many entries per timed call
+    of `decode_entries`, which still decodes one utterance at a time: it
+    batches nothing.
 
     Returns (EvalReport, hypothesis texts).
     """

@@ -116,8 +116,17 @@ class DecoderState:
         """Row r continues from row parent_rows[r]; rows may repeat or drop."""
         rows = np.asarray(parent_rows, dtype=np.int64)
         if not self.self_kv or np.array_equal(rows, np.arange(self.self_kv[0][0].shape[0])):
-            return  # rows stay in order (always at beam 1): nothing to copy
+            return  # rows stay in order: nothing to copy
         self.self_kv = [tuple(Tensor(t.data[rows]) for t in kv) for kv in self.self_kv]
+
+    def truncate(self, pos: int):
+        """Keep the first `pos` positions fed; the next `decode_step` feeds
+        position `pos` onward, as if the later ones had never been fed."""
+        if not 0 <= pos <= self.pos:
+            raise ValueError(f"truncate: position {pos} outside 0..{self.pos}")
+        if pos < self.pos:
+            self.self_kv = [tuple(Tensor(t.data[:, :pos]) for t in kv) for kv in self.self_kv]
+            self.pos = pos
 
 
 NUM_FEATURES = 80

@@ -214,6 +214,20 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "batch_size" in err
 
+    def test_decode_negative_ngram(self, workspace, tmp_path, capsys):
+        root, manifest, vocab = workspace
+        out = tmp_path / "run0"
+        assert main(["train", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--out", str(out), "--steps", "0", *MODEL_FLAGS]) == 0
+        capsys.readouterr()
+        hyps = tmp_path / "hyps.jsonl"
+        assert main(["decode", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--checkpoint", str(out / "ckpt_000000.ckpt"), "--out", str(hyps),
+                     "--no-repeat-ngram", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no_repeat_ngram" in err
+        assert not hyps.exists()
+
     def test_output_dir_env_var(self, workspace, tmp_path, monkeypatch):
         root, manifest, vocab = workspace
         monkeypatch.setenv("CONFORMERST_OUTPUT_DIR", str(tmp_path))

@@ -55,14 +55,14 @@ class TestNgramBlocking:
         assert banned_ngram_tokens([1, 1, 1, 1, 1, 1], 0) == set()
 
 
-def make_setup(seed=0, dtype="float32"):
+def make_setup(seed=0, dtype="float32", frames=48):
     vocab = build_vocab(["ab ba ca", "bc ab cb"])
     cfg = ModelConfig(vocab_size=len(vocab), enc_layers=2, dec_layers=1,
                       d_model=16, heads=2, d_ffn=32, conv_kernel=3, dropout=0.0, dtype=dtype)
     model = Model(cfg, seed=seed)
     rng = np.random.default_rng(seed + 100)
-    feats = rng.standard_normal((1, 48, 80)) * 0.5
-    enc = model.encode(feats, [48])
+    feats = rng.standard_normal((1, frames, 80)) * 0.5
+    enc = model.encode(feats, [frames])
     return model, vocab, enc
 
 
@@ -180,6 +180,177 @@ class TestBeamSearch:
             DecodeConfig(beam=0)
         with pytest.raises(ValueError, match="ctc_weight"):
             DecodeConfig(ctc_weight=1.5)
+        with pytest.raises(ValueError, match=r"no_repeat_ngram must be >= 0 .*got -1"):
+            DecodeConfig(no_repeat_ngram=-1)
+        with pytest.raises(ValueError, match=r"max_len_factor must be >= 0, got -0.5"):
+            DecodeConfig(max_len_factor=-0.5)
+        DecodeConfig(no_repeat_ngram=0, max_len_factor=0.0)  # both bounds are allowed
+
+
+def manual_greedy(model, vocab, enc, lang, cfg):
+    """Beam-1 decoding by its rules, one teacher-forced call per token:
+    returns (tokens, attention score)."""
+    tokens, attn = [vocab.bos_id, vocab.lang_id(lang)], 0.0
+    never = [vocab.blank_id, vocab.pad_id, vocab.bos_id] + [vocab.lang_id(x) for x in LANGS]
+    with nc.no_grad():
+        for _ in range(int(enc.lengths[0] * cfg.max_len_factor) + 10):
+            lp = model.decode_step(enc, [tokens]).data[0, -1].astype(np.float64)
+            lp[vocab.unk_id] -= cfg.unk_penalty
+            lp[never] = -np.inf
+            lp[list(banned_ngram_tokens(tokens, cfg.no_repeat_ngram))] = -np.inf
+            if not np.isfinite(lp).any():
+                lp[vocab.eos_id] = 0.0
+            tok = len(lp) - 1 - int(lp[::-1].argmax())  # the higher id among ties
+            tokens.append(tok)
+            attn += lp[tok]
+            if tok == vocab.eos_id:
+                return tokens, attn
+    return tokens + [vocab.eos_id], attn
+
+
+def force_draft(monkeypatch, model, vocab, enc, draft):
+    """Make the tap CTC head's best path spell `draft`: one frame per token,
+    a blank between repeats, blanks after."""
+    frames = []
+    for tok in draft:
+        if frames and frames[-1] == tok:
+            frames.append(vocab.blank_id)
+        frames.append(tok)
+    t = enc.tap_states.shape[1]
+    assert len(frames) <= t
+    frames += [vocab.blank_id] * (t - len(frames))
+    probs = np.full((1, t, len(vocab)), 1e-3)
+    probs[0, np.arange(t), frames] = 1.0
+    tap = nc.Tensor(np.log(probs / probs.sum(axis=2, keepdims=True)))
+    real = model.ctc_head
+    monkeypatch.setattr(model, "ctc_head",
+                        lambda states, which: tap if which == "src-tap" else real(states, which))
+
+
+def count_decoder_calls(monkeypatch, model):
+    """The prefixes of the model's `decode_step` calls from now on."""
+    calls = []
+    real = model.decode_step
+
+    def spy(enc, prefix, **kwargs):
+        calls.append(prefix)
+        return real(enc, prefix, **kwargs)
+
+    monkeypatch.setattr(model, "decode_step", spy)
+    return calls
+
+
+# beam 1 on 160 input frames (40 encoder frames) of the seed-0 setup: CAP
+# closes the decode at its 10-token cap, BANS blocks repeated bigrams and
+# ends in eos (after 10 tokens)
+CAP = DecodeConfig(beam=1, ctc_weight=0.0, no_repeat_ngram=0, max_len_factor=0.0)
+BANS = DecodeConfig(beam=1, ctc_weight=0.0, no_repeat_ngram=2)
+
+
+def other_letter(vocab, tok):
+    return vocab.id("a") if tok != vocab.id("a") else vocab.id("b")
+
+
+class TestDraftedGreedy:
+    """Beam 1 checks the tap CTC head's best path in one decoder call and
+    returns exactly what one-token-per-call greedy decoding returns."""
+
+    def decode(self, monkeypatch, cfg, draft):
+        """Decode with the tap head drafting `draft(reference tokens after
+        [bos, lang], vocab)`; the hypothesis must be the reference's. Returns
+        (scored positions of the reference, decoder calls, truncations as
+        (fed, kept) positions)."""
+        model, vocab, enc = make_setup(seed=0, dtype="float64", frames=160)
+        tokens, attn = manual_greedy(model, vocab, enc, "it", cfg)
+        capped = len(tokens) - 3 == int(40 * cfg.max_len_factor) + 10
+        assert capped == (cfg is CAP)
+        force_draft(monkeypatch, model, vocab, enc, draft(tokens[2:], vocab))
+        calls = count_decoder_calls(monkeypatch, model)
+        cuts = []
+        real = DecoderState.truncate
+        monkeypatch.setattr(DecoderState, "truncate",
+                            lambda state, pos: (cuts.append((state.pos, pos)), real(state, pos)))
+        hyp = beam_search(model, vocab, enc, "it", cfg)[0]
+        assert hyp.tokens == tokens
+        assert abs(hyp.attn_logp - attn) <= 1e-9
+        return len(tokens) - 2 - capped, calls, cuts
+
+    @pytest.mark.parametrize("cfg", [CAP, BANS], ids=["cap", "eos"])
+    def test_accepted_draft_takes_one_call(self, monkeypatch, cfg):
+        _, calls, cuts = self.decode(monkeypatch, cfg, lambda gen, v: gen[:-1])
+        assert len(calls) == 1 and all(fed == kept for fed, kept in cuts)
+
+    def test_accepted_draft_scores_are_teacher_forced_bits(self, monkeypatch):
+        """float32: the one call on a fresh state is the teacher-forced call."""
+        model, vocab, enc = make_setup(seed=0, frames=160)
+        tokens, _ = manual_greedy(model, vocab, enc, "it", BANS)
+        force_draft(monkeypatch, model, vocab, enc, tokens[2:-1])
+        calls = count_decoder_calls(monkeypatch, model)
+        hyp = beam_search(model, vocab, enc, "it", BANS)[0]
+        assert hyp.tokens == tokens and tokens[-1] == vocab.eos_id and len(calls) == 1
+        with nc.no_grad():
+            lp = model.decode_step(enc, [tokens[:-1]]).data[0]
+        assert lp.dtype == np.float32
+        assert hyp.attn_logp == sum(float(lp[1 + j, tok]) for j, tok in enumerate(tokens[2:]))
+
+    @pytest.mark.parametrize("cfg", [CAP, BANS], ids=["cap", "eos"])
+    def test_rejected_first_token(self, monkeypatch, cfg):
+        scored, calls, cuts = self.decode(
+            monkeypatch, cfg, lambda gen, v: [other_letter(v, gen[0])] + gen[1:-1])
+        assert len(calls) == scored and cuts[0] == (2 + 10, 2)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rejected_mid_draft_truncates(self, monkeypatch, k):
+        scored, calls, cuts = self.decode(
+            monkeypatch, CAP, lambda gen, v: gen[:k] + [other_letter(v, gen[k])] + gen[k + 1 : -1])
+        # the first call accepts k tokens and picks token k; then one token per call
+        assert len(calls) == 1 + scored - (k + 1) and cuts[0] == (2 + 10, 2 + k)
+
+    @pytest.mark.parametrize("cfg", [CAP, BANS], ids=["cap", "eos"])
+    def test_empty_draft(self, monkeypatch, cfg):
+        scored, calls, cuts = self.decode(monkeypatch, cfg, lambda gen, v: [])
+        assert len(calls) == scored and all(fed == kept for fed, kept in cuts)
+
+    def test_draft_longer_than_the_cap(self, monkeypatch):
+        scored, calls, cuts = self.decode(
+            monkeypatch, CAP, lambda gen, v: gen[:-1] + [v.id("a"), v.id("b")] * 4)
+        assert len(calls) == 1 and not cuts
+
+    def test_draft_with_unk(self, monkeypatch):
+        scored, calls, cuts = self.decode(
+            monkeypatch, CAP, lambda gen, v: gen[:2] + [v.unk_id] + gen[3:-1])
+        assert len(calls) == 1 + scored - 3 and cuts[0] == (2 + 10, 2 + 2)
+
+    def test_draft_with_banned_ngram(self, monkeypatch):
+        found = []
+
+        def draft(gen, vocab):
+            start = [vocab.bos_id, vocab.lang_id("it")]
+            k = next(k for k in range(len(gen)) if banned_ngram_tokens(start + gen[:k], 2))
+            found.append(k)
+            return gen[:k] + [min(banned_ngram_tokens(start + gen[:k], 2))] + gen[k + 1 : -1]
+
+        scored, calls, cuts = self.decode(monkeypatch, BANS, draft)
+        [k] = found
+        assert len(calls) == 1 + scored - (k + 1) and cuts[0][1] == 2 + k
+
+
+def test_truncate_then_feed_matches_a_fresh_state():
+    model, vocab, enc = make_setup(seed=8, dtype="float64")
+    start = [vocab.bos_id, vocab.lang_id("en")]
+    a, b, c = vocab.id("a"), vocab.id("b"), vocab.id("c")
+    with nc.no_grad():
+        state = model.decoder_state(enc)
+        model.decode_step(enc, [start + [a, b, c, a]], state=state)
+        state.truncate(3)
+        assert state.pos == 3 and all(k.shape[1] == 3 for kv in state.self_kv for k in kv)
+        got = model.decode_step(enc, [[c, b]], state=state).data[0]
+        got = np.concatenate([got, model.decode_step(enc, [[a]], state=state).data[0]])
+        want = model.decode_step(enc, [start + [a, c, b, a]]).data[0, 3:]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    for pos in (-1, 7):
+        with pytest.raises(ValueError, match="outside 0..6"):
+            state.truncate(pos)
 
 
 def test_decode_entries_rejects_entry_without_translation():
