@@ -185,8 +185,7 @@ def cmd_bench(ns):
     vocab = Vocabulary.load(_require(ns.vocab, "vocabulary"))
     model, _, _ = _load_model(ns.checkpoint, seed=ns.seed)
     cache = FeatureCache(root=os.path.dirname(ns.manifest))
-    report, _ = xrtf_bench(model, vocab, entries, cache, batch_size=ns.batch_size,
-                           cfg=_decode_config(ns), task=ns.task)
+    report, _ = xrtf_bench(model, vocab, entries, cache, cfg=_decode_config(ns), task=ns.task)
     print(report.table())
     return 0
 
@@ -291,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--task", choices=("ASR", "ST"), default="ST")
-    p.add_argument("--batch-size", type=int, default=1,
-                   help="manifest entries per timed call; each utterance is still "
-                        "decoded on its own")
     _add_decode_flags(p)
     p.set_defaults(func=cmd_bench)
 

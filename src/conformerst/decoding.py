@@ -59,6 +59,8 @@ class DecodeConfig:
                              f"got {self.no_repeat_ngram}")
         if self.max_len_factor < 0:
             raise ValueError(f"max_len_factor must be >= 0, got {self.max_len_factor}")
+        if not self.unk_penalty >= 0:  # NaN fails too; +inf bans unk
+            raise ValueError(f"unk_penalty must be >= 0, got {self.unk_penalty}")
 
 
 @dataclass

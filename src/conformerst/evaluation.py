@@ -27,7 +27,6 @@ class EvalReport:
     xrtf: float | None = None
     audio_seconds: float | None = None
     compute_seconds: float | None = None
-    batch_size: int | None = None
 
     def table(self) -> str:
         rows = [(k, v) for k, v in vars(self).items() if v is not None]
@@ -110,50 +109,30 @@ def perplexity(model, vocab, entries, task: str, cache: FeatureCache) -> float:
     return float(np.exp(total_nll / total_tokens))
 
 
-def xrtf_bench(model, vocab, entries, cache: FeatureCache, batch_size: int = 1,
-               cfg: DecodeConfig | None = None, task: str = "ST",
-               sleep_per_batch: float = 0.0):
+def xrtf_bench(model, vocab, entries, cache: FeatureCache,
+               cfg: DecodeConfig | None = None, task: str = "ST"):
     """Seconds of audio decoded per second of compute.
 
-    Timing covers feature extraction through decoding; file reads happen
-    before the clock starts, and the first batch is re-run untimed as a
-    warm-up. `sleep_per_batch` injects artificial per-batch latency for
-    timing self-tests. `batch_size` groups that many entries per timed call
-    of `decode_entries`, which still decodes one utterance at a time: it
-    batches nothing.
+    Timing covers feature extraction through decoding of every entry in one
+    `decode_entries` call; file reads happen before the clock starts, and
+    the first entry is decoded once untimed as a warm-up.
 
     Returns (EvalReport, hypothesis texts).
     """
     entries = list(entries)
     if not entries:
         raise ValueError("xrtf_bench: empty manifest")
-    if batch_size < 1:
-        raise ValueError(f"xrtf_bench: batch_size must be at least 1, got {batch_size}")
     cfg = cfg or DecodeConfig()
     # audio is read before the clock starts; features are extracted inside it
     waves = {entry.audio: frontend.read_wav(cache.resolve(entry)) for entry in entries}
-    batches = [entries[i : i + batch_size] for i in range(0, len(entries), batch_size)]
 
     def features(entry):
         return frontend.extract_features(waves[entry.audio])
 
-    def run_batch(batch):
-        texts = decode_entries(model, vocab, batch, features, cfg, task)
-        if sleep_per_batch:
-            time.sleep(sleep_per_batch)
-        return texts
-
-    run_batch(batches[0])  # warm-up
-    hyps = []
+    decode_entries(model, vocab, entries[:1], features, cfg, task)  # warm-up
     start = time.perf_counter()
-    for batch in batches:
-        hyps.extend(run_batch(batch))
+    hyps = decode_entries(model, vocab, entries, features, cfg, task)
     compute = time.perf_counter() - start
     audio = sum(e.duration_s for e in entries)
-    report = EvalReport(
-        xrtf=audio / compute,
-        audio_seconds=audio,
-        compute_seconds=compute,
-        batch_size=batch_size,
-    )
+    report = EvalReport(xrtf=audio / compute, audio_seconds=audio, compute_seconds=compute)
     return report, hyps

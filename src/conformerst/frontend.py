@@ -1,10 +1,8 @@
 """Audio ingestion and features: WAV I/O, log-mel filterbanks, SpecAugment,
-energy-based VAD segmentation, and the synthetic tone-word corpus used for
-desk-scale experiments."""
+and the synthetic tone-word corpus used for desk-scale experiments."""
 
 from __future__ import annotations
 
-import math
 import os
 import wave
 import warnings
@@ -48,28 +46,6 @@ def write_wav(path, samples: np.ndarray) -> None:
         w.writeframes(pcm.tobytes())
 
 
-@dataclass
-class AudioSegment:
-    samples: np.ndarray
-    start_s: float
-    end_s: float
-
-    def __post_init__(self):
-        expected = round((self.end_s - self.start_s) * SAMPLE_RATE)
-        if len(self.samples) != expected:
-            raise ValueError(
-                f"segment sample count {len(self.samples)} != round((end-start)*rate) = {expected}"
-            )
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("segment contains non-finite samples")
-        if np.abs(self.samples).max(initial=0.0) > 1.0:
-            raise ValueError("segment samples exceed [-1, 1]")
-
-    @property
-    def duration_s(self):
-        return self.end_s - self.start_s
-
-
 # ---------------------------------------------------------------------------
 # log-mel features
 # ---------------------------------------------------------------------------
@@ -83,13 +59,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(num_mels=NUM_MELS, n_fft=FRAME_LEN, f_min=0.0, f_max=SAMPLE_RATE / 2):
-    """Triangular mel filters over [f_min, f_max]; rows num_mels x (n_fft//2+1)."""
-    mel_pts = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), num_mels + 2)
+def mel_filterbank():
+    """Triangular mel filters over [0, Nyquist]; rows NUM_MELS x (FRAME_LEN//2+1)."""
+    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), NUM_MELS + 2)
     hz_pts = mel_to_hz(mel_pts)
-    bins = np.fft.rfftfreq(n_fft, d=1.0 / SAMPLE_RATE)
-    fb = np.zeros((num_mels, len(bins)))
-    for i in range(num_mels):
+    bins = np.fft.rfftfreq(FRAME_LEN, d=1.0 / SAMPLE_RATE)
+    fb = np.zeros((NUM_MELS, len(bins)))
+    for i in range(NUM_MELS):
         lo, mid, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
         up = (bins - lo) / (mid - lo)
         down = (hi - bins) / (hi - mid)
@@ -113,7 +89,7 @@ def num_frames(num_samples: int) -> int:
 
 def extract_features(segment) -> np.ndarray:
     """T x 80 log-mel energies (Hann window, power spectrum, natural log)."""
-    samples = segment.samples if isinstance(segment, AudioSegment) else np.asarray(segment)
+    samples = np.asarray(segment)
     if len(samples) < FRAME_LEN:
         raise ValueError(
             f"segment too short for feature extraction: {len(samples)} samples, "
@@ -166,89 +142,6 @@ def spec_augment(features: np.ndarray, policy: SpecAugmentPolicy) -> np.ndarray:
         start = int(rng.integers(0, t - width + 1))
         out[start : start + width, :] = fill
     return out
-
-
-# ---------------------------------------------------------------------------
-# energy-VAD segmentation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class VadParams:
-    frame_s: float = 0.025
-    threshold_ratio: float = 0.02  # of the max frame RMS
-    min_silence_s: float = 0.3
-
-
-def segment_audio(waveform: np.ndarray, target_len_s: float = 16.0, vad: VadParams | None = None):
-    """Remove long silences and greedily split speech near target_len_s.
-
-    Cuts are placed at the lowest-energy frame inside a window of
-    [0.75, 1.25] * target_len_s from the running segment start; energy ties
-    break toward the target length.
-    """
-    vad = vad or VadParams()
-    waveform = np.asarray(waveform, dtype=np.float64)
-    flen = int(round(vad.frame_s * SAMPLE_RATE))
-    nf = len(waveform) // flen
-    if nf == 0:
-        return []
-    frames = waveform[: nf * flen].reshape(nf, flen)
-    rms = np.sqrt((frames**2).mean(axis=1))
-    peak = rms.max()
-    if peak <= 0:
-        return []
-    speech = rms >= vad.threshold_ratio * peak
-    if not speech.any():
-        return []
-
-    # drop silence runs of at least min_silence_s; keep shorter gaps
-    min_sil = max(1, int(round(vad.min_silence_s / vad.frame_s)))
-    regions = []  # (start_frame, end_frame) of retained speech
-    i = 0
-    cur_start = None
-    while i <= nf:
-        is_speech = speech[i] if i < nf else False
-        if is_speech and cur_start is None:
-            cur_start = i
-        elif not is_speech and cur_start is not None:
-            j = i
-            while j < nf and not speech[j]:
-                j += 1
-            if j - i >= min_sil or j >= nf:
-                regions.append((cur_start, i))
-                cur_start = None
-            i = j
-            continue
-        i += 1
-
-    segments = []
-    lo_w = 0.75 * target_len_s / vad.frame_s
-    hi_w = 1.25 * target_len_s / vad.frame_s
-    tgt_w = target_len_s / vad.frame_s
-    for start, end in regions:
-        cuts = [start]
-        pos = start
-        while end - pos > hi_w:
-            w_lo = pos + int(math.floor(lo_w))
-            w_hi = min(pos + int(math.ceil(hi_w)), end - 1)
-            window = rms[w_lo:w_hi]
-            # near-ties on energy break toward the target length
-            near_min = window <= window.min() + 1e-3 * peak
-            best = np.flatnonzero(near_min) + w_lo
-            cut = int(best[np.argmin(np.abs(best - (pos + tgt_w)))])
-            cuts.append(cut)
-            pos = cut
-        cuts.append(end)
-        # fold a short tail into the previous segment when that stays in budget
-        if len(cuts) >= 3 and cuts[-1] - cuts[-2] < lo_w and cuts[-1] - cuts[-3] <= hi_w:
-            del cuts[-2]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            s0, s1 = a * flen, b * flen
-            segments.append(
-                AudioSegment(waveform[s0:s1], s0 / SAMPLE_RATE, s1 / SAMPLE_RATE)
-            )
-    return segments
 
 
 # ---------------------------------------------------------------------------

@@ -362,16 +362,16 @@ class Model:
         x = features if isinstance(features, Tensor) else Tensor(
             np.asarray(features, dtype=self.config.np_dtype)
         )
-        len1 = np.array([nc.conv1d_out_len(int(t), SUBSAMPLE_KERNEL, SUBSAMPLE_STRIDE, SUBSAMPLE_PAD) for t in lengths])
-        len2 = np.array([nc.conv1d_out_len(int(t), SUBSAMPLE_KERNEL, SUBSAMPLE_STRIDE, SUBSAMPLE_PAD) for t in len1])
+        len1 = nc.conv1d_out_len(lengths, SUBSAMPLE_KERNEL, SUBSAMPLE_STRIDE, SUBSAMPLE_PAD)
+        len2 = nc.conv1d_out_len(len1, SUBSAMPLE_KERNEL, SUBSAMPLE_STRIDE, SUBSAMPLE_PAD)
         h = nc.silu(nc.conv1d(x, self._p("sub.conv1.w"), self._p("sub.conv1.b"),
                               stride=SUBSAMPLE_STRIDE, padding=SUBSAMPLE_PAD))
         h = nc.mul(h, Tensor(self._length_mask(len1, h.shape[1])))
         h = nc.silu(nc.conv1d(h, self._p("sub.conv2.w"), self._p("sub.conv2.b"),
                               stride=SUBSAMPLE_STRIDE, padding=SUBSAMPLE_PAD))
-        h = nc.mul(h, Tensor(self._length_mask(len2, h.shape[1])))
-        h = self._linear("sub.proj", h)
-        h = nc.mul(h, Tensor(self._length_mask(len2, h.shape[1])))
+        mask2 = Tensor(self._length_mask(len2, h.shape[1]))
+        h = nc.mul(h, mask2)
+        h = nc.mul(self._linear("sub.proj", h), mask2)
         return h, len2
 
     def _length_mask(self, lengths, t):

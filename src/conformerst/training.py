@@ -168,6 +168,12 @@ class StageConfig:
             raise ValueError("max_steps >= 0, accum >= 1, batch_tokens >= 1 required")
         if self.checkpoint_interval < 1 or self.warmup_steps < 1:
             raise ValueError("checkpoint_interval >= 1 and warmup_steps >= 1 required")
+        # written as `not x > 0` so that NaN fails too
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm > 0 required, got {self.clip_norm}")
+        if not (self.lr_peak >= 0 and self.lr_const >= 0):
+            raise ValueError(f"lr_peak >= 0 and lr_const >= 0 required, "
+                             f"got {self.lr_peak} and {self.lr_const}")
 
     def lr_at(self, step: int) -> float:
         if self.schedule == "noam":
@@ -258,8 +264,7 @@ def _checkpoint_path(out_dir, step: int) -> str:
 
 
 def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
-                weights: LossWeights | None = None, cache: FeatureCache | None = None,
-                opt: OptimizerConfig | None = None):
+                cache: FeatureCache | None = None):
     """Runs one training stage; returns (final checkpoint path, metrics path).
 
     Writes `ckpt_<step>.ckpt` every `cfg.checkpoint_interval` optimizer steps
@@ -272,9 +277,9 @@ def train_stage(entries, model: Model, vocab, cfg: StageConfig, out_dir,
     if not entries:
         raise ValueError("train_stage: empty manifest")
     os.makedirs(out_dir, exist_ok=True)
-    weights = weights or LossWeights()
+    weights = LossWeights()
     cache = cache or FeatureCache()
-    optimizer = AdamW(opt)
+    optimizer = AdamW()
     rng = np.random.default_rng(cfg.seed)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
 

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conformerst import numcore as nc
+from conformerst import evaluation, numcore as nc
 from conformerst.decoding import DecodeConfig, beam_search, decode_entries
 from conformerst.evaluation import perplexity, wer, xrtf_bench
 from conformerst.frontend import (
@@ -325,7 +325,7 @@ def test_criterion_10_checkpoint_averaging(tmp_path):
             assert np.array_equal(same[n], loaded[0][n]), n
 
 
-def test_criterion_11_metrics(overfit_run):
+def test_criterion_11_metrics(overfit_run, monkeypatch):
     with criterion(11, "WER 1/3, uniform ppl == vocab size, xRTF sleep self-test"):
         assert wer(["a b c"], ["a x c"]).wer == pytest.approx(1 / 3)
 
@@ -340,10 +340,18 @@ def test_criterion_11_metrics(overfit_run):
         # best of three runs each: a load burst from another process during one
         # run of a ~40 ms decode can push a single pair just outside the window
         one = entries[:1]
-        fast = max(xrtf_bench(uni, vocab, one, cache, cfg=DESK_DECODE, sleep_per_batch=0.2)[0].xrtf
-                   for _ in range(3))
-        slow = max(xrtf_bench(uni, vocab, one, cache, cfg=DESK_DECODE, sleep_per_batch=0.4)[0].xrtf
-                   for _ in range(3))
+
+        def best_xrtf_with_sleep(seconds):
+            def sleepy_decode(*args):
+                time.sleep(seconds)
+                return decode_entries(*args)
+
+            monkeypatch.setattr(evaluation, "decode_entries", sleepy_decode)
+            return max(xrtf_bench(uni, vocab, one, cache, cfg=DESK_DECODE)[0].xrtf
+                       for _ in range(3))
+
+        fast = best_xrtf_with_sleep(0.2)
+        slow = best_xrtf_with_sleep(0.4)
         assert 1.6 <= fast / slow <= 2.4
 
 

@@ -99,8 +99,7 @@ class TestPipeline:
         model = Model(config)
         model.load_state(arrays)
         _, benched = xrtf_bench(model, Vocabulary.load(vocab), load_manifest(manifest),
-                                FeatureCache(), batch_size=3, cfg=DecodeConfig(beam=2),
-                                task="ST")
+                                FeatureCache(), cfg=DecodeConfig(beam=2), task="ST")
         assert benched == decoded
 
     def test_decode_default_flags_recorded(self, workspace, tmp_path):
@@ -192,6 +191,7 @@ class TestErrors:
         ("--batch-tokens", "0", "batch_tokens"),
         ("--checkpoint-interval", "0", "checkpoint_interval"),
         ("--warmup", "0", "warmup_steps"),
+        ("--lr", "-0.001", "lr_peak"),
     ])
     def test_train_override_validated(self, workspace, tmp_path, capsys, flag, value, field):
         root, manifest, vocab = workspace
@@ -201,18 +201,6 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert not list(tmp_path.glob("ckpt_*.ckpt"))
-
-    def test_bench_zero_batch_size(self, workspace, tmp_path, capsys):
-        root, manifest, vocab = workspace
-        out = tmp_path / "run0"
-        assert main(["train", "--manifest", str(manifest), "--vocab", str(vocab),
-                     "--out", str(out), "--steps", "0", *MODEL_FLAGS]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--manifest", str(manifest), "--vocab", str(vocab),
-                     "--checkpoint", str(out / "ckpt_000000.ckpt"),
-                     "--batch-size", "0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "batch_size" in err
 
     def test_decode_negative_ngram(self, workspace, tmp_path, capsys):
         root, manifest, vocab = workspace
@@ -226,6 +214,20 @@ class TestErrors:
                      "--no-repeat-ngram", "-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no_repeat_ngram" in err
+        assert not hyps.exists()
+
+    def test_decode_negative_unk_penalty(self, workspace, tmp_path, capsys):
+        root, manifest, vocab = workspace
+        out = tmp_path / "run0"
+        assert main(["train", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--out", str(out), "--steps", "0", *MODEL_FLAGS]) == 0
+        capsys.readouterr()
+        hyps = tmp_path / "hyps.jsonl"
+        assert main(["decode", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--checkpoint", str(out / "ckpt_000000.ckpt"), "--out", str(hyps),
+                     "--unk-penalty", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unk_penalty" in err
         assert not hyps.exists()
 
     def test_output_dir_env_var(self, workspace, tmp_path, monkeypatch):

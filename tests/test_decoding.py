@@ -184,7 +184,12 @@ class TestBeamSearch:
             DecodeConfig(no_repeat_ngram=-1)
         with pytest.raises(ValueError, match=r"max_len_factor must be >= 0, got -0.5"):
             DecodeConfig(max_len_factor=-0.5)
+        for penalty in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="unk_penalty must be >= 0"):
+                DecodeConfig(unk_penalty=penalty)
         DecodeConfig(no_repeat_ngram=0, max_len_factor=0.0)  # both bounds are allowed
+        DecodeConfig(unk_penalty=0.0)
+        DecodeConfig(unk_penalty=float("inf"))  # a ban on unk
 
 
 def manual_greedy(model, vocab, enc, lang, cfg):

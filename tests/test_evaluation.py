@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from conformerst import frontend
-from conformerst.decoding import DecodeConfig
+from conformerst import evaluation, frontend
+from conformerst.decoding import DecodeConfig, decode_entries
 from conformerst.evaluation import EvalReport, perplexity, wer, xrtf_bench
 from conformerst.frontend import CorpusSpec, FeatureCache, synth_corpus
 from conformerst.model import Model, ModelConfig
@@ -95,13 +95,26 @@ class TestXrtf:
     def test_arithmetic_and_fields(self, setup):
         model, vocab, entries, cache = setup
         cfg = DecodeConfig(beam=1, ctc_weight=0.0)
-        report, hyps = xrtf_bench(model, vocab, entries, cache, batch_size=2, cfg=cfg)
+        report, hyps = xrtf_bench(model, vocab, entries, cache, cfg=cfg)
         assert len(hyps) == len(entries)
         assert report.audio_seconds == pytest.approx(sum(e.duration_s for e in entries))
         assert report.xrtf == pytest.approx(report.audio_seconds / report.compute_seconds)
-        assert report.batch_size == 2
         rows = [line.split()[0] for line in report.table().splitlines()]
-        assert rows == ["xrtf", "audio_seconds", "compute_seconds", "batch_size"]
+        assert rows == ["xrtf", "audio_seconds", "compute_seconds"]
+
+    def test_warm_up_then_one_timed_call(self, setup, monkeypatch):
+        model, vocab, entries, cache = setup
+        calls = []
+
+        def recording_decode(_model, _vocab, batch, _features, _cfg, _task):
+            calls.append([e.audio for e in batch])
+            return [f"call{len(calls)} {e.audio}" for e in batch]
+
+        monkeypatch.setattr(evaluation, "decode_entries", recording_decode)
+        _, hyps = xrtf_bench(model, vocab, entries, cache)
+        audios = [e.audio for e in entries]
+        assert calls == [audios[:1], audios]
+        assert hyps == [f"call2 {a}" for a in audios]
 
     def test_decode_outputs_deterministic(self, setup):
         model, vocab, entries, cache = setup
@@ -110,12 +123,21 @@ class TestXrtf:
         _, b = xrtf_bench(model, vocab, entries, cache, cfg=cfg)
         assert a == b
 
-    def test_sleep_halves_xrtf(self, setup):
+    def test_sleep_halves_xrtf(self, setup, monkeypatch):
         model, vocab, entries, cache = setup
         one = entries[:1]
         cfg = DecodeConfig(beam=1, ctc_weight=0.0)
-        fast, _ = xrtf_bench(model, vocab, one, cache, cfg=cfg, sleep_per_batch=0.2)
-        slow, _ = xrtf_bench(model, vocab, one, cache, cfg=cfg, sleep_per_batch=0.4)
+
+        def bench_with_sleep(seconds):
+            def sleepy_decode(*args):
+                time.sleep(seconds)
+                return decode_entries(*args)
+
+            monkeypatch.setattr(evaluation, "decode_entries", sleepy_decode)
+            return xrtf_bench(model, vocab, one, cache, cfg=cfg)
+
+        fast, _ = bench_with_sleep(0.2)
+        slow, _ = bench_with_sleep(0.4)
         ratio = fast.xrtf / slow.xrtf
         assert 1.6 <= ratio <= 2.4
 

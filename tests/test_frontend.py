@@ -104,44 +104,6 @@ class TestSpecAugment:
             fe.spec_augment(x, policy)
 
 
-class TestSegmentation:
-    def test_pure_silence(self):
-        assert fe.segment_audio(np.zeros(fe.SAMPLE_RATE * 4)) == []
-
-    def test_speech_silence_speech(self):
-        x = np.concatenate([tone(10.0), np.zeros(10 * fe.SAMPLE_RATE), tone(10.0)])
-        segs = fe.segment_audio(x, target_len_s=16.0)
-        assert len(segs) == 2
-        for s in segs:
-            assert 9.0 <= s.duration_s <= 11.0
-        # silence absent: segment energy well above zero
-        for s in segs:
-            assert np.sqrt((s.samples**2).mean()) > 0.05
-
-    def test_continuous_64s_four_segments(self):
-        x = tone(64.0)
-        segs = fe.segment_audio(x, target_len_s=16.0)
-        assert len(segs) == 4
-        for s in segs:
-            assert 12.0 <= s.duration_s <= 20.0
-        mean = np.mean([s.duration_s for s in segs])
-        assert 12.0 <= mean <= 20.0
-
-    def test_segments_ordered_and_nonoverlapping(self):
-        x = np.concatenate([tone(20.0), np.zeros(8000), tone(5.0)])
-        segs = fe.segment_audio(x, target_len_s=16.0)
-        for a, b in zip(segs[:-1], segs[1:]):
-            assert a.end_s <= b.start_s
-
-    def test_reassembles_to_subsequence(self):
-        x = np.concatenate([tone(6.0), np.zeros(fe.SAMPLE_RATE), tone(6.0)])
-        segs = fe.segment_audio(x, target_len_s=16.0)
-        for s in segs:
-            lo = int(round(s.start_s * fe.SAMPLE_RATE))
-            hi = int(round(s.end_s * fe.SAMPLE_RATE))
-            assert np.array_equal(s.samples, x[lo:hi])
-
-
 class TestSynthCorpus:
     def test_reproducible(self, tmp_path):
         spec = fe.CorpusSpec(num_utts=4, seed=7)

@@ -74,6 +74,9 @@ class TestSubsample:
         m = Model(desk_config(), seed=1)
         h, lens = m.subsample(features(100), [100])
         assert h.shape == (1, 25, 32) and lens.tolist() == [25]
+        ts = list(range(5, 201))
+        _, lens = m.subsample(np.zeros((len(ts), 200, 80)), ts)
+        assert lens.tolist() == [subsampled_length(t) for t in ts]
 
     def test_length_16_to_4(self):
         assert subsampled_length(16) == 4

@@ -178,10 +178,15 @@ class TestStageConfig:
             StageConfig(stage="ASR+ST", schedule="noam")
         StageConfig(stage="ASR+ST", schedule="constant")  # valid
 
-    @pytest.mark.parametrize("field", ["checkpoint_interval", "warmup_steps"])
-    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("value, field", [
+        (0, "checkpoint_interval"), (-1, "checkpoint_interval"),
+        (0, "warmup_steps"), (-1, "warmup_steps"),
+        (0, "clip_norm"), (-1, "clip_norm"), (float("nan"), "clip_norm"),
+        (-1e-3, "lr_peak"), (-1e-4, "lr_const"), (float("nan"), "lr_peak"),
+    ])
     def test_nonpositive_interval_or_warmup_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} >= 1"):
+        bound = {"clip_norm": "> 0", "lr_peak": ">= 0", "lr_const": ">= 0"}.get(field, ">= 1")
+        with pytest.raises(ValueError, match=f"{field} {bound}"):
             StageConfig(**{field: value})
 
     def test_unknown_key_rejected(self, tmp_path):
